@@ -8,6 +8,7 @@ Four classifiers share one pile of per-graph facts:
   is closed out first; the bounded and unbounded rule tables are then tested
   on every member in both orderings, and pairs matching neither table are
   looked up in the list of thirteen open cases.  The procedure is total.
+  Its kernel (rule sides, closure, firing) is shared with the scan.
 * ``classify_relation``: forbidden subgraphs / minors / topological minors
   (three dichotomies on properties of the forbidden family alone).
 * ``classify_colouring``: the colouring complexity table, which is not a
@@ -22,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Hashable, Optional, TypeVar
 
 from .errors import InputError, InvariantViolation
 from .graphs import Graph, complement, induced_subgraph, to_graph6
-from .isomorphism import is_isomorphic
+from .isomorphism import CANONICAL_CAP, canonical_key, is_isomorphic
 from .names import format_name, graph_named, recognize
 from .patterns import (
     contains_induced,
@@ -277,8 +278,8 @@ PAIR_RULES: tuple[Rule, ...] = (
     ),
 )
 
-BOUNDED_RULES = tuple(r for r in PAIR_RULES if r.status is Status.BOUNDED)
-UNBOUNDED_RULES = tuple(r for r in PAIR_RULES if r.status is Status.UNBOUNDED)
+BOUNDED_BITS = sum(1 << r for r, rule in enumerate(PAIR_RULES) if rule.status is Status.BOUNDED)
+UNBOUNDED_BITS = sum(1 << r for r, rule in enumerate(PAIR_RULES) if rule.status is Status.UNBOUNDED)
 
 
 # -- the thirteen open cases ----------------------------------------------
@@ -303,36 +304,124 @@ def _open_cases() -> tuple[tuple[str, str, str], ...]:
 OPEN_CASES: tuple[tuple[str, str, str], ...] = _open_cases()
 
 
-# -- equivalence closure ---------------------------------------------------
+# -- the pair kernel --------------------------------------------------------
+#
+# classify_pair and the exhaustive scan share the three steps below.  Nodes
+# are whatever the caller classifies: labelled graphs here, integer ids of
+# catalogue graphs in the scan.  The caller supplies, per node, its key (equal
+# exactly for isomorphic graphs), its complement, its K3/paw swap partner and
+# its rule sides.
+
+Node = TypeVar("Node")
 
 
-def _pair_iso(a: tuple[Graph, Graph], b: tuple[Graph, Graph]) -> bool:
-    return (is_isomorphic(a[0], b[0]) and is_isomorphic(a[1], b[1])) or (
-        is_isomorphic(a[0], b[1]) and is_isomorphic(a[1], b[0])
-    )
+def rule_sides(f: CwFacts, fc: CwFacts) -> tuple[int, int]:
+    """Bitmasks of the rules (bit r is ``PAIR_RULES[r]``) whose left and
+    whose right side hold for a graph with facts ``f`` and complement facts
+    ``fc``."""
+    left = right = 0
+    for r, rule in enumerate(PAIR_RULES):
+        if rule.left(f, fc):
+            left |= 1 << r
+        if rule.right(f, fc):
+            right |= 1 << r
+    return left, right
+
+
+def _unordered(kx: Hashable, ky: Hashable) -> tuple:
+    return (kx, ky) if kx <= ky else (ky, kx)
+
+
+def pair_class(h1: Node, h2: Node, key: Callable, co: Callable, swap: Callable) -> list[tuple[Node, Node]]:
+    """The pair's equivalence class: every pair reachable by complementing
+    both sides and by swapping K3 with the paw at either position, one member
+    per unordered pair of keys, in a fixed order (stack pop; push the
+    complement pair, then the swap at each position)."""
+    members: list[tuple[Node, Node]] = []
+    seen: set[tuple] = set()
+    stack = [(h1, h2)]
+    while stack:
+        a, b = pair = stack.pop()
+        k = _unordered(key(a), key(b))
+        if k in seen:
+            continue
+        seen.add(k)
+        members.append(pair)
+        stack.append((co(a), co(b)))
+        for x, y in (pair, (b, a)):
+            partner = swap(x)
+            if partner is not None:
+                stack.append((partner, y))
+    return members
+
+
+def fire(members: list[tuple[Node, Node]], sides: Callable) -> tuple[int, Optional[tuple[int, Node, Node]]]:
+    """The rule bits fired on any member, and the first firing: the lowest
+    rule of the first member that fires, oriented as the rule matched it."""
+    fired = 0
+    first = None
+    for a, b in members:
+        la, ra = sides(a)
+        lb, rb = sides(b)
+        ab = la & rb
+        bits = ab | (lb & ra)
+        if bits and first is None:
+            low = bits & -bits
+            r = low.bit_length() - 1
+            first = (r, a, b) if ab & low else (r, b, a)
+        fired |= bits
+    return fired, first
+
+
+@lru_cache(maxsize=None)
+def _open_keys() -> dict[tuple, tuple[str, str, str]]:
+    return {
+        _unordered(canonical_key(_pattern(n1)), canonical_key(_pattern(n2))): (case_id, n1, n2)
+        for case_id, n1, n2 in OPEN_CASES
+    }
+
+
+def open_case(members: list[tuple[Node, Node]], key: Callable) -> Optional[tuple[str, str, str]]:
+    """The listed open case equivalent to the class, looked up by the
+    canonical keys ``key`` gives; None if there is none."""
+    table = _open_keys()
+    for a, b in members:
+        case = table.get(_unordered(key(a), key(b)))
+        if case is not None:
+            return case
+    return None
+
+
+# -- the graph side of the kernel -------------------------------------------
+
+
+def _graph_key(g: Graph) -> tuple:
+    # Past the canonical-form cap a graph is keyed by its labelled edges, so
+    # the class may hold isomorphic copies of it; their facts are equal, so
+    # the verdict is the same.
+    if g.n > CANONICAL_CAP:
+        return (g.n, tuple(sorted(g.edges)))
+    return canonical_key(g)
+
+
+def _graph_swap(g: Graph) -> Optional[Graph]:
+    # K3 and the paw are the only graphs with these orders and degrees.
+    if g.n == 3 and g.degree_sequence() == (2, 2, 2):
+        return _pattern("paw")
+    if g.n == 4 and g.degree_sequence() == (1, 2, 2, 3):
+        return _pattern("K3")
+    return None
+
+
+def _graph_sides(g: Graph) -> tuple[int, int]:
+    return rule_sides(cw_facts(g), cw_facts(complement(g)))
 
 
 def equivalence_class(h1: Graph, h2: Graph) -> list[tuple[Graph, Graph]]:
     """All unordered pairs reachable by complementing both sides and by
     swapping K3 with the paw at either position, deduplicated up to
     isomorphism."""
-    k3 = _pattern("K3")
-    paw = _pattern("paw")
-    members: list[tuple[Graph, Graph]] = []
-    queue: list[tuple[Graph, Graph]] = [(h1, h2)]
-    while queue:
-        pair = queue.pop()
-        if any(_pair_iso(pair, m) for m in members):
-            continue
-        members.append(pair)
-        a, b = pair
-        queue.append((complement(a), complement(b)))
-        for x, y in ((a, b), (b, a)):
-            if is_isomorphic(x, k3):
-                queue.append((paw, y))
-            elif is_isomorphic(x, paw):
-                queue.append((k3, y))
-    return members
+    return pair_class(h1, h2, lru_cache(maxsize=None)(_graph_key), complement, _graph_swap)
 
 
 # -- classifiers ------------------------------------------------------------
@@ -352,41 +441,20 @@ def classify_single(h: Graph) -> Verdict:
 def classify_pair(h1: Graph, h2: Graph) -> Verdict:
     """Two forbidden induced subgraphs: Bounded, Unbounded, or Open; total."""
     members = equivalence_class(h1, h2)
-    fired: list[tuple[Rule, tuple[Graph, Graph]]] = []
-    for a, b in members:
-        fa, fca = cw_facts(a), cw_facts(complement(a))
-        fb, fcb = cw_facts(b), cw_facts(complement(b))
-        for rule in PAIR_RULES:
-            if rule.left(fa, fca) and rule.right(fb, fcb):
-                fired.append((rule, (a, b)))
-            elif rule.left(fb, fcb) and rule.right(fa, fca):
-                fired.append((rule, (b, a)))
-    statuses = {rule.status for rule, _ in fired}
-    if Status.BOUNDED in statuses and Status.UNBOUNDED in statuses:
-        b_hit = next(r.rule_id for r, _ in fired if r.status is Status.BOUNDED)
-        u_hit = next(r.rule_id for r, _ in fired if r.status is Status.UNBOUNDED)
+    fired, first = fire(members, _graph_sides)
+    if fired & BOUNDED_BITS and fired & UNBOUNDED_BITS:
+        ids = ", ".join(rule.rule_id for r, rule in enumerate(PAIR_RULES) if fired >> r & 1)
         raise InvariantViolation(
-            f"rules {b_hit} and {u_hit} both fire on the class of "
-            f"({display_name(h1)},{display_name(h2)})-free graphs"
+            f"rules {ids} fire together on the class of ({display_name(h1)},{display_name(h2)})-free graphs"
         )
-    if fired:
-        rule, (a, b) = fired[0]
-        return Verdict(
-            rule.status,
-            rule.rule_id,
-            (display_name(a), display_name(b)),
-            rule.citation,
-        )
-    for case_id, n1, n2 in OPEN_CASES:
-        x, y = _pattern(n1), _pattern(n2)
-        for pair in members:
-            if _pair_iso(pair, (x, y)):
-                return Verdict(
-                    Status.OPEN,
-                    case_id,
-                    (n1, n2),
-                    "boundedness open; one of the thirteen listed cases",
-                )
+    if first is not None:
+        r, a, b = first
+        rule = PAIR_RULES[r]
+        return Verdict(rule.status, rule.rule_id, (display_name(a), display_name(b)), rule.citation)
+    case = open_case(members, _graph_key)
+    if case is not None:
+        case_id, n1, n2 = case
+        return Verdict(Status.OPEN, case_id, (n1, n2), "boundedness open; one of the thirteen listed cases")
     raise InvariantViolation(
         f"({display_name(h1)},{display_name(h2)}) matches no rule and no open case; "
         "the trichotomy should be total"

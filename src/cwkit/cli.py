@@ -167,7 +167,7 @@ def _cmd_free_check(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    result = scan_pairs(args.max_vertices, jobs=args.jobs)
+    result = scan_pairs(args.max_vertices)
     print(result.report())
     if result.conflicts:
         raise InvariantViolation(f"{len(result.conflicts)} consistency conflicts in scan")
@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="classify all small forbidden pairs exhaustively")
     p.add_argument("--max-vertices", type=int, default=7)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_scan)
 
     return parser

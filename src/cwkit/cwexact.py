@@ -29,21 +29,12 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from .errors import CapacityError, InputError, InvariantViolation
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, _bits, induced_subgraph
 from .cwexpr import Create, CwExpr, Join, Rename, Union, eval_cwexpr, width
 
 __all__ = ["cliquewidth_at_most", "cliquewidth", "DEFAULT_CAP"]
 
 DEFAULT_CAP = 8
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class _Search:

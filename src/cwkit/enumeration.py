@@ -4,21 +4,17 @@ Augmentation scheme: every n-vertex graph arises from an (n-1)-vertex graph by
 adding a new vertex with some neighbourhood, so extending the canonical
 representatives of level n-1 by all 2^(n-1) neighbourhoods and deduplicating
 by canonical form yields exactly the level-n representatives.
-
-An optional hereditary filter restricts every level, which keeps searches over
-hereditary classes (for example paw-free graphs) cheap.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional
 
 from .errors import CapacityError
 from .graphs import Graph
 from .isomorphism import canonical_key_adj
 
-__all__ = ["nonisomorphic_graphs", "nonisomorphic_graphs_upto", "hereditary_closure"]
+__all__ = ["nonisomorphic_graphs", "nonisomorphic_graphs_upto"]
 
 ENUMERATION_CAP = 9
 
@@ -63,41 +59,3 @@ def nonisomorphic_graphs_upto(n: int) -> list[Graph]:
         out.extend(nonisomorphic_graphs(k))
     return out
 
-
-def hereditary_closure(
-    max_n: int, keep: Callable[[Graph], bool], start: Optional[list[Graph]] = None
-) -> list[Graph]:
-    """Representatives of a hereditary class, level by level up to max_n.
-
-    ``keep`` must define a hereditary property (closed under vertex deletion);
-    then filtering at every level loses nothing, because any member arises by
-    augmenting a smaller member.
-    """
-    if max_n > 12:
-        raise CapacityError("hereditary_closure supports at most 12 vertices")
-    level: dict[tuple, tuple[int, ...]] = {}
-    if start is None:
-        one = Graph(1)
-        level = {canonical_key_adj((0,), 1): (0,)} if keep(one) else {}
-        result = [one] if keep(one) else []
-        base = 1
-    else:
-        result = [g for g in start if keep(g)]
-        base = max((g.n for g in result), default=0)
-        level = {canonical_key_adj(g.adj, g.n): g.adj for g in result if g.n == base}
-    for n in range(base + 1, max_n + 1):
-        nxt: dict[tuple, tuple[int, ...]] = {}
-        for parent in level.values():
-            for nbhd in range(1 << (n - 1)):
-                adj = tuple(
-                    parent[v] | ((nbhd >> v & 1) << (n - 1)) for v in range(n - 1)
-                ) + (nbhd,)
-                key = canonical_key_adj(adj, n)
-                if key in nxt:
-                    continue
-                g = _to_graph(adj)
-                if keep(g):
-                    nxt[key] = adj
-        level = nxt
-        result.extend(_to_graph(adj) for adj in level.values())
-    return result

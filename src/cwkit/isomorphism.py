@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import CapacityError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 __all__ = ["canonical_key", "find_isomorphism", "is_isomorphic", "refine_colours"]
 
@@ -37,15 +37,6 @@ def refine_colours(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
         if new == colours:
             return tuple(colours)
         colours = new
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def canonical_key(g: Graph) -> tuple:

@@ -9,7 +9,8 @@ subscripts, an integer prefix repeats a summand.  Grammar::
           | 'co(' expr ')' | 'wall(' h ')' | 'swall(' h ',' k ')' | 'grid(' n ')'
           | 'paw' | 'diamond' | 'claw' | 'bull' | 'hammer' | 'gem'
 
-Whitespace is ignored.  The grammar is the stable public surface.
+Whitespace is ignored.  The grammar is the stable public surface.  Nesting of
+``co(...)`` deeper than ``NESTING_CAP`` is a parse error.
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ NameExpr = Union[
 
 # -- parser --------------------------------------------------------------
 
+NESTING_CAP = 100
+
 _INT = re.compile(r"\d+")
 _WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -183,6 +186,7 @@ class _Tokens:
             else:
                 raise ParseError("unexpected character", text, pos)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         return self.items[self.i] if self.i < len(self.items) else None
@@ -210,8 +214,12 @@ def _parse_atom(toks: _Tokens) -> NameExpr:
         raise ParseError("expected a graph name", toks.text, pos)
     if value == "co":
         toks.expect("sym", "(")
+        toks.depth += 1
+        if toks.depth > NESTING_CAP:
+            raise ParseError(f"co(...) nested deeper than {NESTING_CAP}", toks.text, pos)
         inner = _parse_expr(toks)
         toks.expect("sym", ")")
+        toks.depth -= 1
         return Complement(inner)
     if value in ("wall", "swall", "grid"):
         toks.expect("sym", "(")

@@ -1,8 +1,9 @@
 """Exhaustive classification scan over all small forbidden pairs.
 
-Enumerates the non-isomorphic graphs up to a vertex budget, precomputes each
-graph's rule-side bits once, and then classifies every unordered pair through
-the same rule tables the one-off classifier uses.  The scan doubles as the
+Enumerates the non-isomorphic graphs up to a vertex budget, compiles each
+graph's rule sides once, and then classifies every unordered pair with the
+pair kernel ``classify_pair`` uses (closure, firing and open-case lookup),
+run on integer graph ids instead of labelled graphs.  The scan doubles as the
 consistency harness: it reports any pair on which a bounded rule and an
 unbounded rule both fire, and any pair that neither matches a rule nor is
 equivalent to a listed open case.
@@ -10,12 +11,12 @@ equivalent to a listed open case.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .classifier import OPEN_CASES, PAIR_RULES, Status, cw_facts, display_name
+from .classifier import BOUNDED_BITS, UNBOUNDED_BITS, Status, cw_facts, display_name
+from .classifier import fire, open_case, pair_class, rule_sides
 from .enumeration import nonisomorphic_graphs_upto
-from .graphs import Graph, complement
+from .graphs import complement
 from .isomorphism import canonical_key
 from .names import graph_named
 
@@ -44,117 +45,37 @@ class ScanResult:
         return "\n".join(lines)
 
 
-def _closure(pair: tuple[int, int], co: list[int], k3: int, paw: int) -> frozenset[tuple[int, int]]:
-    seen: set[tuple[int, int]] = set()
-    queue = [pair]
-    swap_ok = k3 >= 0 and paw >= 0  # both ends of the swap must be in catalog
-    while queue:
-        p = queue.pop()
-        key = (min(p), max(p))
-        if key in seen:
-            continue
-        seen.add(key)
-        a, b = key
-        queue.append((co[a], co[b]))
-        if swap_ok:
-            for x, y in ((a, b), (b, a)):
-                if x == k3:
-                    queue.append((paw, y))
-                elif x == paw:
-                    queue.append((k3, y))
-    return frozenset(seen)
-
-
-def scan_pairs(max_vertices: int = 7, jobs: int = 1) -> ScanResult:
+def scan_pairs(max_vertices: int = 7) -> ScanResult:
     """Classify every unordered pair of non-isomorphic graphs, exhaustively."""
     graphs = nonisomorphic_graphs_upto(max_vertices)
-    ids = {canonical_key(g): i for i, g in enumerate(graphs)}
+    keys = [canonical_key(g) for g in graphs]
+    ids = {k: i for i, k in enumerate(keys)}
     co = [ids[canonical_key(complement(g))] for g in graphs]
-    k3 = ids.get(canonical_key(graph_named("K3")), -1)
-    paw = ids.get(canonical_key(graph_named("paw")), -1)
+    sides = [rule_sides(cw_facts(g), cw_facts(graphs[co[i]])) for i, g in enumerate(graphs)]
+    # Ids are their own keys; K3 and the paw swap only when both are in range.
+    k3 = ids.get(canonical_key(graph_named("K3")))
+    paw = ids.get(canonical_key(graph_named("paw")))
+    partner = {k3: paw, paw: k3} if k3 is not None and paw is not None else {}
 
-    facts = [cw_facts(g) for g in graphs]
-    n_rules = len(PAIR_RULES)
-    left = [0] * len(graphs)
-    right = [0] * len(graphs)
-    for i in range(len(graphs)):
-        f, fc = facts[i], facts[co[i]]
-        lbits = rbits = 0
-        for r, rule in enumerate(PAIR_RULES):
-            if rule.left(f, fc):
-                lbits |= 1 << r
-            if rule.right(f, fc):
-                rbits |= 1 << r
-        left[i] = lbits
-        right[i] = rbits
-    b_mask = sum(1 << r for r, rule in enumerate(PAIR_RULES) if rule.status is Status.BOUNDED)
-    u_mask = sum(1 << r for r, rule in enumerate(PAIR_RULES) if rule.status is Status.UNBOUNDED)
-
-    open_keys: dict[tuple[int, int], str] = {}
-    for case_id, n1, n2 in OPEN_CASES:
-        g1, g2 = graph_named(n1), graph_named(n2)
-        if g1.n <= max_vertices and g2.n <= max_vertices:
-            a, b = ids[canonical_key(g1)], ids[canonical_key(g2)]
-            open_keys[(min(a, b), max(a, b))] = case_id
-
-    def run_chunk(rows: range):
-        counts = {s.value: 0 for s in (Status.BOUNDED, Status.UNBOUNDED, Status.OPEN)}
-        opens: list[tuple[int, int, str]] = []
-        conflicts: list[str] = []
-        for i in rows:
-            for j in range(i, len(graphs)):
-                fired = 0
-                for a, b in _closure((i, j), co, k3, paw):
-                    fired |= (left[a] & right[b]) | (left[b] & right[a])
-                    if fired & b_mask and fired & u_mask:
-                        break
-                hit_b = bool(fired & b_mask)
-                hit_u = bool(fired & u_mask)
-                if hit_b and hit_u:
-                    conflicts.append(
-                        f"bounded and unbounded rules both fire on "
-                        f"({display_name(graphs[i])}, {display_name(graphs[j])})"
-                    )
-                    continue
-                if hit_b:
-                    counts[Status.BOUNDED.value] += 1
-                elif hit_u:
-                    counts[Status.UNBOUNDED.value] += 1
-                else:
-                    case = None
-                    for key in _closure((i, j), co, k3, paw):
-                        case = open_keys.get(key)
-                        if case:
-                            break
-                    if case is None:
-                        conflicts.append(
-                            f"no rule and no open case matches "
-                            f"({display_name(graphs[i])}, {display_name(graphs[j])})"
-                        )
-                    else:
-                        counts[Status.OPEN.value] += 1
-                        opens.append((i, j, case))
-        return counts, opens, conflicts
-
-    chunks = [range(i, len(graphs), max(1, jobs)) for i in range(max(1, jobs))]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
+    def where(i: int, j: int) -> str:
+        return f"({display_name(graphs[i])}, {display_name(graphs[j])})"
 
     counts = {s.value: 0 for s in (Status.BOUNDED, Status.UNBOUNDED, Status.OPEN)}
     open_pairs: list[tuple[str, str, str]] = []
     conflicts: list[str] = []
-    opens_idx: list[tuple[int, int, str]] = []
-    for c, o, x in results:
-        for k, v in c.items():
-            counts[k] += v
-        opens_idx.extend(o)
-        conflicts.extend(x)
-    opens_idx.sort()
-    for i, j, case in opens_idx:
-        open_pairs.append((display_name(graphs[i]), display_name(graphs[j]), case))
+    for i in range(len(graphs)):
+        for j in range(i, len(graphs)):
+            members = pair_class(i, j, int, co.__getitem__, partner.get)
+            fired, _ = fire(members, sides.__getitem__)
+            if fired & BOUNDED_BITS and fired & UNBOUNDED_BITS:
+                conflicts.append(f"bounded and unbounded rules both fire on {where(i, j)}")
+            elif fired:
+                counts[(Status.BOUNDED if fired & BOUNDED_BITS else Status.UNBOUNDED).value] += 1
+            elif case := open_case(members, keys.__getitem__):
+                counts[Status.OPEN.value] += 1
+                open_pairs.append((display_name(graphs[i]), display_name(graphs[j]), case[0]))
+            else:
+                conflicts.append(f"no rule and no open case matches {where(i, j)}")
     conflicts.sort()
     total = len(graphs) * (len(graphs) + 1) // 2
     return ScanResult(max_vertices, total, counts, open_pairs, conflicts)

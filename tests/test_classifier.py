@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from cwkit.classifier import (
 )
 from cwkit.enumeration import nonisomorphic_graphs_upto
 from cwkit.errors import InputError
-from cwkit.graphs import complement
+from cwkit.graphs import complement, from_graph6
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import graph_named
 
@@ -104,6 +105,61 @@ def test_open_case_table_is_the_published_thirteen():
         assert verdict.rule_id == case_id
         seen.add(case_id)
     assert len(seen) == 13
+
+
+def test_open_case_classes_are_disjoint():
+    # classify_pair reports the first member found in the open-case table,
+    # which is only well defined if no class holds two listed cases
+    for case_id, n1, n2 in OPEN_CASES:
+        for a, b in equivalence_class(graph_named(n1), graph_named(n2)):
+            for other_id, m1, m2 in OPEN_CASES:
+                if other_id != case_id:
+                    x, y = graph_named(m1), graph_named(m2)
+                    assert not (
+                        (is_isomorphic(a, x) and is_isomorphic(b, y))
+                        or (is_isomorphic(a, y) and is_isomorphic(b, x))
+                    ), (case_id, other_id)
+
+
+def test_pair_lines_golden_up_to_five_vertices():
+    # every ordered pair of graphs with at most 5 vertices; pins the rule, the
+    # member that matched, its orientation and its display name
+    graphs = nonisomorphic_graphs_upto(5)
+    lines = [classify_pair(a, b).line() for a in graphs for b in graphs]
+    assert len(lines) == 2704
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "3f138d2518599c3a10fe21e0239793db0b3bfd52fbb8be219ad596a7eb59b9f8"
+
+
+_U1 = "status=Unbounded rule=U1 matched={} cite=k-subdivided walls avoid every family outside class S [LR06]"
+_U2 = "status=Unbounded rule=U2 matched={} cite=complement of the class-S rule [LR06 with KLM09]"
+
+
+@pytest.mark.parametrize("g6", ["ERUO", "EhCg", "FT?T_", "FseK?"])
+def test_pair_lines_golden_unrecognised_graphs(g6):
+    # relabelled 6- and 7-vertex graphs the name language does not recognise,
+    # against the graphs the K3/paw swap and complementation reach
+    g = from_graph6(g6)
+    shown = f"graph6:{g6}"
+    for name, line in (("K3", _U1), ("paw", _U1), ("3P1", _U2), ("P1+P3", _U2)):
+        h = graph_named(name)
+        assert classify_pair(g, h).line() == line.format(f"{shown},{name}")
+        assert classify_pair(h, g).line() == line.format(f"{name},{shown}")
+
+
+def test_pair_lines_golden_labelled_members():
+    # isomorphic graphs keep their own labelling in the verdict and the class
+    g, h = from_graph6("ERUO"), from_graph6("EhpO")
+    assert classify_pair(g, h).line() == _U1.format("graph6:ERUO,graph6:EhpO")
+    assert [(display_name(a), display_name(b)) for a, b in equivalence_class(g, h)] == [
+        ("graph6:ERUO", "graph6:EhpO"),
+        ("graph6:Ekhg", "graph6:EUMg"),
+    ]
+    # past the canonical-form cap
+    grid = "XhEAHCPAGG?P?P?G_AG?O?@C?AG?AG?@C??O??AG??G_??P???P"
+    verdict = classify_pair(graph_named("K3"), graph_named("grid(5)"))
+    assert verdict.line() == _U1.format(f"K3,graph6:{grid}")
+    assert len(equivalence_class(graph_named("grid(5)"), graph_named("co(grid(5))"))) == 1
 
 
 def test_relation_fixtures():

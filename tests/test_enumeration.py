@@ -1,10 +1,8 @@
 import pytest
 
-from cwkit.enumeration import hereditary_closure, nonisomorphic_graphs, nonisomorphic_graphs_upto
+from cwkit.enumeration import nonisomorphic_graphs, nonisomorphic_graphs_upto
 from cwkit.errors import CapacityError
 from cwkit.isomorphism import canonical_key
-from cwkit.names import graph_named
-from cwkit.patterns import contains_induced
 
 # published counts of unlabelled simple graphs by vertex count
 EXPECTED = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -41,17 +39,3 @@ def test_cap():
     with pytest.raises(CapacityError):
         nonisomorphic_graphs(10)
 
-
-def test_hereditary_closure_agrees_with_filtering():
-    k3 = graph_named("K3")
-
-    def triangle_free(g):
-        return contains_induced(g, k3) is None
-
-    closure = hereditary_closure(7, triangle_free)
-    by_n = {}
-    for g in closure:
-        by_n[g.n] = by_n.get(g.n, 0) + 1
-    for n in range(1, 8):
-        direct = sum(1 for g in nonisomorphic_graphs(n) if triangle_free(g))
-        assert by_n.get(n, 0) == direct
