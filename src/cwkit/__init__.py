@@ -19,6 +19,7 @@ from .isomorphism import canonical_key, find_isomorphism, is_isomorphic
 from .patterns import (
     Embedding,
     contains_induced,
+    has_induced,
     is_free,
     in_class_S,
     shape_tests,

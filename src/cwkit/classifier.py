@@ -30,7 +30,7 @@ from .graphs import Graph, complement, induced_subgraph, to_graph6
 from .isomorphism import CANONICAL_CAP, canonical_key, is_isomorphic
 from .names import format_name, graph_named, recognize
 from .patterns import (
-    contains_induced,
+    has_induced,
     has_induced_cycle_at_least,
     in_class_S,
     is_planar,
@@ -148,8 +148,8 @@ def cw_facts(g: Graph) -> CwFacts:
     cached = _FACTS_CACHE.get(g)
     if cached is not None:
         return cached
-    le = frozenset(x for x in _DOWN if contains_induced(_pattern(x), g) is not None)
-    ge = frozenset(x for x in _UP if contains_induced(g, _pattern(x)) is not None)
+    le = frozenset(x for x in _DOWN if has_induced(_pattern(x), g))
+    ge = frozenset(x for x in _UP if has_induced(g, _pattern(x)))
     shp = shape_tests(g)
     facts = CwFacts(le, ge, in_class_S(g), shp.is_edgeless, shp.is_complete)
     _FACTS_CACHE[g] = facts
@@ -429,7 +429,7 @@ def equivalence_class(h1: Graph, h2: Graph) -> list[tuple[Graph, Graph]]:
 
 def classify_single(h: Graph) -> Verdict:
     """One forbidden induced subgraph: bounded iff it embeds in P4."""
-    bounded = contains_induced(_pattern("P4"), h) is not None
+    bounded = has_induced(_pattern("P4"), h)
     return Verdict(
         Status.BOUNDED if bounded else Status.UNBOUNDED,
         "SG",
@@ -549,8 +549,8 @@ def colouring_facts(g: Graph) -> ColFacts:
     cached = _COL_CACHE.get(g)
     if cached is not None:
         return cached
-    le = frozenset(x for x in _COL_LE if contains_induced(_pattern(x), g) is not None)
-    ge = frozenset(x for x in _COL_GE if contains_induced(g, _pattern(x)) is not None)
+    le = frozenset(x for x in _COL_LE if has_induced(_pattern(x), g))
+    ge = frozenset(x for x in _COL_GE if has_induced(g, _pattern(x)))
     flags = set()
     shp = shape_tests(g)
     co = complement(g)
@@ -562,12 +562,12 @@ def colouring_facts(g: Graph) -> ColFacts:
             flags.add("has-cycle>=5")
     if not shape_tests(co).is_forest and has_induced_cycle_at_least(co, 6, max_vertices=co.n):
         flags.add("co-has-cycle>=6")
-    if any(contains_induced(g, _pattern(x)) is not None for x in _SPANNING_2P2):
+    if any(has_induced(g, _pattern(x)) for x in _SPANNING_2P2):
         flags.add("spanning-2P2")
     if g.max_degree() <= 1:
         flags.add("matching")
     nontrivial = [v for v in range(g.n) if g.degree(v) > 0]
-    if contains_induced(_pattern("P5"), induced_subgraph(g, nontrivial)) is not None:
+    if has_induced(_pattern("P5"), induced_subgraph(g, nontrivial)):
         flags.add("isolates-plus-P5-part")
     if shp.is_complete and g.n >= 4:
         flags.add("clique>=4")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional
 
 from .errors import InputError, ParseError
 from .graphs import Graph
@@ -87,55 +87,72 @@ class LabelledGraph:
     label_of: tuple[int, ...]
 
 
-def _vertex_names(expr: CwExpr, acc: list[str]) -> None:
-    match expr:
-        case Create(_, name):
-            acc.append(name)
-        case Union(left, right):
-            _vertex_names(left, acc)
-            _vertex_names(right, acc)
-        case Join(_, _, sub) | Rename(_, _, sub):
-            _vertex_names(sub, acc)
+def _postorder(expr: CwExpr) -> list[CwExpr]:
+    """Every node of the term, children before parents and left before right.
+
+    An explicit stack, so terms of any depth (a flat union of thousands of
+    vertices is a left-deep chain) are walked without recursion.
+    """
+    out: list[CwExpr] = []
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        out.append(e)
+        match e:
+            case Create():
+                pass
+            case Union(left, right):
+                stack.append(left)
+                stack.append(right)
+            case Join(_, _, sub) | Rename(_, _, sub):
+                stack.append(sub)
+            case _:
+                raise InputError(f"unknown expression node {e!r}")
+    out.reverse()
+    return out
 
 
 def validate(expr: CwExpr) -> None:
     """Reject duplicate vertex names (union operands must be disjoint)."""
-    names: list[str] = []
-    _vertex_names(expr, names)
     seen = set()
-    for name in names:
-        if name in seen:
-            raise InputError(f"vertex name {name!r} appears more than once")
-        seen.add(name)
+    for e in _postorder(expr):
+        if isinstance(e, Create):
+            if e.vertex in seen:
+                raise InputError(f"vertex name {e.vertex!r} appears more than once")
+            seen.add(e.vertex)
 
 
 def eval_cwexpr(expr: CwExpr) -> LabelledGraph:
     """Evaluate to a labelled graph; vertices are numbered in creation order."""
     validate(expr)
-
-    def rec(e: CwExpr) -> tuple[list[str], list[int], set[tuple[int, int]]]:
+    names: list[str] = []
+    labels: list[int] = []
+    edges: set[tuple[int, int]] = set()
+    # Each finished subterm owns the contiguous range [start, end) of vertex
+    # numbers, because creations are met left to right.
+    spans: list[tuple[int, int]] = []
+    for e in _postorder(expr):
         match e:
             case Create(label, name):
-                return [name], [label], set()
-            case Union(left, right):
-                n1, l1, e1 = rec(left)
-                n2, l2, e2 = rec(right)
-                off = len(n1)
-                return n1 + n2, l1 + l2, e1 | {(u + off, v + off) for u, v in e2}
-            case Join(i, j, sub):
-                names, labels, edges = rec(sub)
-                left = [v for v, lab in enumerate(labels) if lab == i]
-                right = [v for v, lab in enumerate(labels) if lab == j]
+                spans.append((len(names), len(names) + 1))
+                names.append(name)
+                labels.append(label)
+            case Union():
+                _, end = spans.pop()
+                start, _ = spans.pop()
+                spans.append((start, end))
+            case Join(i, j, _):
+                start, end = spans[-1]
+                left = [v for v in range(start, end) if labels[v] == i]
+                right = [v for v in range(start, end) if labels[v] == j]
                 for u in left:
                     for v in right:
                         edges.add((min(u, v), max(u, v)))
-                return names, labels, edges
-            case Rename(i, j, sub):
-                names, labels, edges = rec(sub)
-                return names, [j if lab == i else lab for lab in labels], edges
-        raise InputError(f"unknown expression node {e!r}")
-
-    names, labels, edges = rec(expr)
+            case Rename(i, j, _):
+                start, end = spans[-1]
+                for v in range(start, end):
+                    if labels[v] == i:
+                        labels[v] = j
     g = Graph(len(names), edges, dict(enumerate(names)))
     return LabelledGraph(g, tuple(labels))
 
@@ -143,20 +160,13 @@ def eval_cwexpr(expr: CwExpr) -> LabelledGraph:
 def width(expr: CwExpr) -> int:
     """Number of distinct labels occurring anywhere in the expression."""
     labels: set[int] = set()
-
-    def rec(e: CwExpr) -> None:
+    for e in _postorder(expr):
         match e:
             case Create(label, _):
                 labels.add(label)
-            case Union(left, right):
-                rec(left)
-                rec(right)
-            case Join(i, j, sub) | Rename(i, j, sub):
+            case Join(i, j, _) | Rename(i, j, _):
                 labels.add(i)
                 labels.add(j)
-                rec(sub)
-
-    rec(expr)
     return len(labels)
 
 
@@ -213,52 +223,60 @@ class _Tokens:
         return tok
 
 
-def _parse_prim(toks: _Tokens) -> CwExpr:
-    tok = toks.next()
-    kind, value, pos = tok
+def _build(toks: _Tokens, pos: int, node, *args) -> CwExpr:
     try:
-        if kind == "int":
-            toks.expect("sym", "(")
-            name = toks.next()
-            if name[0] not in ("name", "int"):
-                raise ParseError("expected a vertex name", toks.text, name[2])
-            toks.expect("sym", ")")
-            return Create(int(value), name[1])
-        if kind == "kw" and value == "eta":
-            toks.expect("sym", "(")
-            i = int(toks.expect("int")[1])
-            toks.expect("sym", ",")
-            j = int(toks.expect("int")[1])
-            toks.expect("sym", ";")
-            sub = _parse_expr(toks)
-            toks.expect("sym", ")")
-            return Join(i, j, sub)
-        if kind == "kw" and value == "rho":
-            toks.expect("sym", "(")
-            i = int(toks.expect("int")[1])
-            toks.expect("sym", "->")
-            j = int(toks.expect("int")[1])
-            toks.expect("sym", ";")
-            sub = _parse_expr(toks)
-            toks.expect("sym", ")")
-            return Rename(i, j, sub)
-        if kind == "sym" and value == "(":
-            sub = _parse_expr(toks)
-            toks.expect("sym", ")")
-            return sub
+        return node(*args)
     except InputError as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(str(exc), toks.text, pos) from None
-    raise ParseError("expected an expression", toks.text, pos)
 
 
 def _parse_expr(toks: _Tokens) -> CwExpr:
-    expr = _parse_prim(toks)
-    while toks.peek() is not None and toks.peek()[1] == "+":
-        toks.next()
-        expr = Union(expr, _parse_prim(toks))
-    return expr
+    """expr := prim ('+' prim)*, where a prim is a creation, ``eta(i,j; expr)``,
+    ``rho(i->j; expr)`` or ``(expr)``.
+
+    Iterative: each open ``eta``/``rho``/parenthesis pushes a frame holding
+    its node type (None for a parenthesis) and the union built so far outside
+    it, so nesting depth is not bounded by the interpreter's recursion limit.
+    """
+    frames: list[tuple[Optional[type], int, int, int, Optional[CwExpr]]] = []
+    acc: Optional[CwExpr] = None
+    while True:
+        kind, value, pos = toks.next()
+        if kind == "kw":
+            toks.expect("sym", "(")
+            i = int(toks.expect("int")[1])
+            toks.expect("sym", "," if value == "eta" else "->")
+            j = int(toks.expect("int")[1])
+            toks.expect("sym", ";")
+            frames.append((Join if value == "eta" else Rename, i, j, pos, acc))
+            acc = None
+            continue
+        if kind == "sym" and value == "(":
+            frames.append((None, 0, 0, pos, acc))
+            acc = None
+            continue
+        if kind != "int":
+            raise ParseError("expected an expression", toks.text, pos)
+        toks.expect("sym", "(")
+        name = toks.next()
+        if name[0] not in ("name", "int"):
+            raise ParseError("expected a vertex name", toks.text, name[2])
+        toks.expect("sym", ")")
+        prim = _build(toks, pos, Create, int(value), name[1])
+        # Fold the finished prim into the open union; close every frame the
+        # input closes here.
+        while True:
+            acc = prim if acc is None else Union(acc, prim)
+            nxt = toks.peek()
+            if nxt is not None and nxt[1] == "+":
+                toks.next()
+                break
+            if not frames:
+                return acc
+            node, i, j, pos, outer = frames.pop()
+            toks.expect("sym", ")")
+            prim = acc if node is None else _build(toks, pos, node, i, j, acc)
+            acc = outer
 
 
 def parse_cwexpr(text: str) -> CwExpr:
@@ -278,16 +296,23 @@ def parse_cwexpr_file(text: str) -> CwExpr:
 
 
 def format_cwexpr(expr: CwExpr) -> str:
-    match expr:
-        case Create(label, name):
-            return f"{label}({name})"
-        case Union(left, right):
-            rhs = format_cwexpr(right)
-            if isinstance(right, Union):
-                rhs = f"({rhs})"
-            return f"{format_cwexpr(left)} + {rhs}"
-        case Join(i, j, sub):
-            return f"eta({i},{j}; {format_cwexpr(sub)})"
-        case Rename(i, j, sub):
-            return f"rho({i}->{j}; {format_cwexpr(sub)})"
-    raise InputError(f"cannot format {expr!r}")
+    out: list[str] = []
+    stack: list[CwExpr | str] = [expr]
+    while stack:
+        item = stack.pop()
+        match item:
+            case str():
+                out.append(item)
+            case Create(label, name):
+                out.append(f"{label}({name})")
+            case Union(left, right) if isinstance(right, Union):
+                stack += [")", right, " + (", left]
+            case Union(left, right):
+                stack += [right, " + ", left]
+            case Join(i, j, sub):
+                stack += [")", sub, f"eta({i},{j}; "]
+            case Rename(i, j, sub):
+                stack += [")", sub, f"rho({i}->{j}; "]
+            case _:
+                raise InputError(f"cannot format {item!r}")
+    return "".join(out)

@@ -399,21 +399,17 @@ def _g6_size_bytes(n: int) -> bytes:
     raise InputError("graph6 encoding supports at most 258047 vertices")
 
 
+_SEXTETS = {format(i, "06b"): chr(i + 63) for i in range(64)}
+
+
 def to_graph6(g: Graph) -> str:
     """Standard graph6 string (column-major upper triangle, 6-bit groups)."""
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    data = bytearray(_g6_size_bytes(g.n))
-    for i in range(0, len(bits), 6):
-        group = bits[i : i + 6]
-        group += [0] * (6 - len(group))
-        value = 0
-        for b in group:
-            value = value << 1 | b
-        data.append(value + 63)
-    return data.decode("ascii")
+    # Column v lists the pairs (u, v) for u < v, which are the bits of adj[v]
+    # below bit v, lowest first.
+    bits = "".join(format(a & ((1 << v) - 1), f"0{v}b")[::-1] for v, a in enumerate(g.adj) if v)
+    bits += "0" * (-len(bits) % 6)
+    body = "".join(_SEXTETS[bits[i : i + 6]] for i in range(0, len(bits), 6))
+    return _g6_size_bytes(g.n).decode("ascii") + body
 
 
 def from_graph6(text: str) -> Graph:

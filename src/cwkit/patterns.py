@@ -1,11 +1,20 @@
 """Pattern containment and class-recognition predicates.
 
-The central operation is induced-subgraph search (backtracking over pattern
-vertices in descending-degree order with adjacency-consistency pruning); on
-top of it sit the freeness test, the recognisers consumed by the rule tables
-(class S membership, shape flags, planarity) and the induced cycle/path
-probes.  The exponential probes carry a configurable vertex cap and raise
-``CapacityError`` rather than ever returning a wrong answer.
+The central operation is induced-subgraph search.  It backtracks over the
+pattern's vertices in breadth-first order, entering each component at its
+highest-degree vertex.  Each pattern vertex's candidates are one host
+bitmask: the host vertices whose degree and co-degree are large enough,
+ANDed with the neighbourhood of the image of every earlier adjacent pattern
+vertex and the non-neighbourhood of every earlier non-adjacent one, less the
+images already used.  There are two entry points: ``has_induced`` stops at
+the first embedding, and ``contains_induced`` goes on to return the
+lexicographically least one by pinning pattern vertices 0, 1, ... in turn.
+Only callers that report the embedding should pay for that second pass.
+
+On top of the search sit the freeness test, the recognisers consumed by the
+rule tables (class S membership, shape flags, planarity) and the induced
+cycle/path probes.  The exponential probes carry a configurable vertex cap
+and raise ``CapacityError`` rather than ever returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from .graphs import Graph, complement
 __all__ = [
     "Embedding",
     "contains_induced",
+    "has_induced",
     "is_free",
     "in_class_S",
     "ShapeReport",
@@ -53,49 +63,128 @@ class Embedding:
         return True
 
 
-def _embed(host: Graph, pattern: Graph, order: list[int], forced: dict[int, int]) -> Optional[list[int]]:
-    """Backtracking induced embedding along ``order``; forced entries pinned."""
-    if pattern.n > host.n:
-        return None
-    if len(set(forced.values())) != len(forced):
-        return None
-    pinned = sorted(forced.items())
-    for a, (p, w) in enumerate(pinned):
-        for q, x in pinned[a + 1 :]:
-            if pattern.has_edge(p, q) != host.has_edge(w, x):
-                return None
-    image: dict[int, int] = dict(forced)
-    used = set(forced.values())
+def _search_order(pattern: Graph) -> list[int]:
+    """Breadth-first order, each component entered at its highest-degree vertex."""
+    deg = [a.bit_count() for a in pattern.adj]
+    rank = sorted(range(pattern.n), key=lambda v: (-deg[v], v))
+    seen = 0
+    order: list[int] = []
+    for root in rank:
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            p = order[head]
+            head += 1
+            for q in rank:
+                if pattern.adj[p] >> q & 1 and not seen >> q & 1:
+                    seen |= 1 << q
+                    order.append(q)
+    return order
 
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        p = order[i]
-        if p in image:
-            return rec(i + 1)
+
+def _steps(pattern: Graph, placed: list[int], rest: list[int]) -> list[tuple[int, list[int], list[int]]]:
+    """One step per vertex of ``rest``: (p, earlier neighbours, earlier non-neighbours).
+
+    ``placed`` vertices are mapped before the first step.
+    """
+    steps = []
+    before = list(placed)
+    for p in rest:
         pa = pattern.adj[p]
-        for w in range(host.n):
-            if w in used:
-                continue
-            ha = host.adj[w]
-            ok = True
-            for q, x in image.items():
-                if (pa >> q & 1) != (ha >> x & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[p] = w
-            used.add(w)
-            if rec(i + 1):
-                return True
-            used.remove(w)
-            del image[p]
-        return False
+        steps.append((p, [q for q in before if pa >> q & 1], [q for q in before if not pa >> q & 1]))
+        before.append(p)
+    return steps
 
-    if not rec(0):
+
+def _candidate_bases(host: Graph, pattern: Graph) -> Optional[list[int]]:
+    """Per pattern vertex, the host vertices that pass the degree and co-degree filter.
+
+    None when some pattern vertex has no candidate at all.
+    """
+    hn, pn = host.n, pattern.n
+    by_degree = [0] * hn
+    for w, a in enumerate(host.adj):
+        by_degree[a.bit_count()] |= 1 << w
+    at_least = by_degree[:]  # at_least[d]: host vertices of degree >= d
+    at_most = by_degree[:]  # at_most[d]: host vertices of degree <= d
+    for d in range(hn - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    for d in range(1, hn):
+        at_most[d] |= at_most[d - 1]
+    bases = []
+    for a in pattern.adj:
+        d = a.bit_count()
+        # degree >= d, and co-degree hn-1-deg >= pn-1-d
+        base = at_least[d] & at_most[hn - pn + d]
+        if not base:
+            return None
+        bases.append(base)
+    return bases
+
+
+def _extend(adj, nadj, steps, bases: list[int], image: list[int], used: int) -> bool:
+    """Map the pattern vertices of ``steps`` in turn, trying host vertices in
+    increasing order.
+
+    ``adj`` and ``nadj`` are the host's neighbourhood and non-neighbourhood
+    masks.  ``image`` holds the images of the vertices placed before the
+    first step and, on success, of every vertex; ``used`` is the mask of
+    those images.
+    """
+    depth = len(steps)
+    if not depth:
+        return True
+    cands = [0] * depth
+    taken = [0] * depth
+    i = 0
+    while True:
+        p, ins, outs = steps[i]
+        c = bases[p] & ~used
+        for q in ins:
+            c &= adj[image[q]]
+        for q in outs:
+            c &= nadj[image[q]]
+        taken[i] = used
+        while not c:
+            i -= 1
+            if i < 0:
+                return False
+            c = cands[i]
+            used = taken[i]
+        low = c & -c
+        cands[i] = c ^ low
+        image[steps[i][0]] = low.bit_length() - 1
+        used |= low
+        i += 1
+        if i == depth:
+            return True
+
+
+def _first_embedding(host: Graph, pattern: Graph):
+    """(search order, candidate bases, host non-neighbourhoods, some induced
+    embedding), or None."""
+    pn, hn = pattern.n, host.n
+    pe, he = len(pattern.edges), len(host.edges)
+    if pn > hn or pe > he or pn * (pn - 1) // 2 - pe > hn * (hn - 1) // 2 - he:
         return None
-    return [image[p] for p in range(pattern.n)]
+    bases = _candidate_bases(host, pattern)
+    if bases is None:
+        return None
+    full = (1 << hn) - 1
+    nadj = [full ^ a for a in host.adj]
+    order = _search_order(pattern)
+    image = [-1] * pn
+    if not _extend(host.adj, nadj, _steps(pattern, [], order), bases, image, 0):
+        return None
+    return order, bases, nadj, image
+
+
+def has_induced(host: Graph, pattern: Graph) -> bool:
+    """True iff pattern embeds in host as an induced subgraph."""
+    return pattern.n == 0 or _first_embedding(host, pattern) is not None
 
 
 def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
@@ -103,27 +192,36 @@ def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
 
     On success the returned mapping is the lexicographically least one,
     obtained by pinning pattern vertices 0, 1, ... to their smallest feasible
-    images in turn.
+    images in turn.  Callers that only need to know whether an embedding
+    exists should use ``has_induced``, which skips that pass.
     """
     if pattern.n == 0:
         return Embedding(())
-    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
-    found = _embed(host, pattern, order, {})
-    if found is None:
+    first = _first_embedding(host, pattern)
+    if first is None:
         return None
-    # Lexicographic minimisation, one pattern vertex at a time.
-    forced: dict[int, int] = {}
+    order, bases, nadj, found = first
+    adj = host.adj
+    pinned: list[int] = []
+    used = 0
+    # Lexicographic minimisation, one pattern vertex at a time: the current
+    # embedding is feasible, so only images below found[p] need a search.
     for p in range(pattern.n):
-        for w in range(host.n):
-            if w in forced.values():
-                continue
-            trial = dict(forced)
-            trial[p] = w
-            attempt = _embed(host, pattern, order, trial)
-            if attempt is not None:
-                forced[p] = w
-                found = attempt
+        pa = pattern.adj[p]
+        c = bases[p] & ~used & ((1 << found[p]) - 1)
+        for q in pinned:
+            c &= adj[found[q]] if pa >> q & 1 else nadj[found[q]]
+        pinned.append(p)
+        steps = _steps(pattern, pinned, [v for v in order if v > p]) if c else []
+        while c:
+            low = c & -c
+            trial = found[:]
+            trial[p] = low.bit_length() - 1
+            if _extend(adj, nadj, steps, bases, trial, used | low):
+                found = trial
                 break
+            c ^= low
+        used |= 1 << found[p]
     return Embedding(tuple(found))
 
 

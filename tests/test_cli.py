@@ -1,9 +1,13 @@
+import contextlib
 import io
 import json
-import contextlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cwkit
 from cwkit.cli import resolve_graph, run
 from cwkit.errors import InputError
 from cwkit.graphs import to_graph6
@@ -148,3 +152,21 @@ def test_deep_name_nesting_is_a_parse_error():
     code, out, err = invoke("classify", "single", deep)
     assert code == 2 and out == ""
     assert "nested deeper than" in err and "Traceback" not in err
+
+
+def test_flat_union_of_thousands_evaluates(tmp_path):
+    # A flat union parses to a left-deep chain as deep as it is long.
+    f = tmp_path / "flat.cwx"
+    f.write_text(" + ".join(f"1(v{i})" for i in range(3000)) + "\n")
+    src = os.path.dirname(os.path.dirname(cwkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cwkit", "cw", "eval", str(f)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["width=1", "n=3000 m=0"]

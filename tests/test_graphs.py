@@ -24,7 +24,7 @@ from cwkit.graphs import (
 )
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import graph_named
-from cwkit.witnesses import wall
+from cwkit.witnesses import two_clique_grid, wall
 
 
 def random_graph(rng, n, p=0.4):
@@ -211,6 +211,14 @@ def test_graph6_matches_networkx():
         G.add_nodes_from(range(n))
         G.add_edges_from(g.edges)
         assert to_graph6(g) == nx.to_graph6_bytes(G, header=False).decode().strip()
+
+
+def test_graph6_strings_pinned():
+    # Recorded from the pair-by-pair encoder this one replaced.
+    assert to_graph6(graph_named("grid(5)")) == "XhEAHCPAGG?P?P?G_AG?O?@C?AG?AG?@C??O??AG??G_??P???P"
+    assert to_graph6(two_clique_grid(4)[0]) == "W~?GW^~|ve]G^o\\oMWBa?No?v?@e?@a??^??Do??e??AG??"
+    assert to_graph6(graph_named("C5")) == "Dhc"
+    assert to_graph6(Graph(0)) == "?"
 
 
 def test_graph6_header_and_errors():

@@ -13,8 +13,10 @@ from cwkit.errors import CapacityError, InputError
 from cwkit.graphs import Graph, complement
 from cwkit.names import graph_named
 from cwkit.patterns import (
+    Embedding,
     contains_induced,
     cycle_and_path_probes,
+    has_induced,
     has_induced_cycle_at_least,
     has_triangle,
     in_class_S,
@@ -58,6 +60,48 @@ def test_returns_lexicographically_least_embedding():
             assert mine is None
         else:
             assert mine is not None and tuple(mine.mapping) == naive
+
+
+def test_has_induced_agrees_with_naive_oracle_exhaustively():
+    hosts = nonisomorphic_graphs_upto(6)
+    patterns = nonisomorphic_graphs_upto(4)
+    for host in hosts:
+        for pat in patterns:
+            assert has_induced(host, pat) == (naive_contains_induced(host, pat) is not None)
+
+
+def test_lexicographically_least_for_disconnected_patterns():
+    rng = random.Random(23)
+    pats = [graph_named(x) for x in ("3P2", "4P1+P2", "2P1+P4")]
+    hits = 0
+    for _ in range(80):
+        density = rng.uniform(0.1, 0.4)
+        host = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < density])
+        for pat in pats:
+            naive = naive_contains_induced(host, pat)
+            mine = contains_induced(host, pat)
+            assert (mine and tuple(mine.mapping)) == naive
+            assert has_induced(host, pat) == (naive is not None)
+            hits += naive is not None
+    assert 40 < hits < 200
+
+
+def test_search_edge_cases():
+    c5 = graph_named("C5")
+    empty = Graph(0)
+    assert contains_induced(c5, empty) == Embedding(())
+    assert has_induced(c5, empty) and has_induced(empty, empty)
+    assert contains_induced(empty, empty) == Embedding(())
+    # pattern larger than its host
+    assert contains_induced(graph_named("P3"), graph_named("P4")) is None
+    assert not has_induced(graph_named("P3"), graph_named("P4"))
+    assert not has_induced(empty, graph_named("P1"))
+    # A pinned image that makes the search fail: P3 (centre 1) into K2 + P3.
+    # Host vertices 0 and 1 pass the degree filters for pattern vertex 0, but
+    # once pinned there, no host neighbour can be the centre.
+    host = Graph(5, [(0, 1), (2, 3), (3, 4)])
+    p3 = graph_named("P3")
+    assert contains_induced(host, p3).mapping == (2, 3, 4) == naive_contains_induced(host, p3)
 
 
 def test_transitivity_spot_checks():

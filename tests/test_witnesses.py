@@ -81,7 +81,7 @@ def test_flip_touches_exactly_the_cell_layers():
 
 def test_flipped_family_freeness():
     patterns = [graph_named(x) for x in ("P6", "co(2P1+P2)")]
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         ok, hit = is_free(p6_diamond_witness(n), patterns)
         assert ok, hit
     base, _ = p6_diamond_base(3)
@@ -105,7 +105,7 @@ def test_two_clique_grid_structure():
 
 def test_two_clique_grid_freeness():
     patterns = [graph_named(s) for s in ("3P2", "P2+P4", "P6", "co(P1+P4)")]
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         ok, hit = is_free(two_clique_grid(n)[0], patterns)
         assert ok, hit
 
