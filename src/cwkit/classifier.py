@@ -1,18 +1,31 @@
 """Decision procedures for forbidden-pattern graph classes.
 
-Four classifiers share one pile of per-graph facts:
+Four classifiers:
 
 * ``classify_single``: one forbidden induced subgraph (a dichotomy).
 * ``classify_pair``: two forbidden induced subgraphs.  The pair's equivalence
   class (closed under complementing both graphs and swapping K3 with the paw)
-  is closed out first; the bounded and unbounded rule tables are then tested
-  on every member in both orderings, and pairs matching neither table are
-  looked up in the list of thirteen open cases.  The procedure is total.
-  Its kernel (rule sides, closure, firing) is shared with the scan.
+  is closed out first; the bounded and unbounded rule table is then tested
+  on every member in both orderings, and pairs matching no rule are looked
+  up in the list of thirteen open cases.  The procedure is total.  Its
+  kernel (rule sides, closure, firing, open-case lookup) is shared with the
+  scan.
 * ``classify_relation``: forbidden subgraphs / minors / topological minors
   (three dichotomies on properties of the forbidden family alone).
-* ``classify_colouring``: the colouring complexity table, which is not a
-  dichotomy; Unknown is a legal outcome.
+* ``classify_colouring``: the colouring complexity table, tested on the pair
+  itself in both orderings.  It is not a dichotomy; Unknown is a legal
+  outcome.
+
+Both rule tables run on one engine.  A graph's facts are a set of string
+tokens (``<=P4``: an induced subgraph of P4; ``>=K1_3``: contains the claw;
+flags such as ``not-in-S``), computed once per graph by ``cw_facts`` or
+``colouring_facts``; the pair rules also read the complement's tokens with a
+``co `` prefix.  A rule is data: two token sets, one per position, each
+holding when it meets the graph's facts.  ``rule_sides`` compiles a graph's
+facts to bitmasks of the rules whose left and whose right side hold, and
+``fire`` ORs them over the members.  The earliest rule in table order that
+fires on the first member to fire gives the verdict; rules of opposite
+statuses firing together are an internal error that names every fired rule.
 
 Every verdict carries the rule identifier, the pair member that matched, and
 a citation anchor naming the mathematical source of the rule.
@@ -130,156 +143,99 @@ def _pattern(name: str) -> Graph:
     return graph_named(name)
 
 
-@dataclass(frozen=True)
-class CwFacts:
-    """Containment facts of one graph, as consumed by the rule tables."""
-
-    le: frozenset[str]
-    ge: frozenset[str]
-    in_s: bool
-    edgeless: bool
-    complete: bool
+_FACTS_CACHE: dict[Graph, frozenset[str]] = {}
 
 
-_FACTS_CACHE: dict[Graph, CwFacts] = {}
-
-
-def cw_facts(g: Graph) -> CwFacts:
+def cw_facts(g: Graph) -> frozenset[str]:
+    """The graph's fact tokens for the pair rules: ``<=X`` when it is an
+    induced subgraph of X, ``>=X`` when X is an induced subgraph of it,
+    ``not-in-S``, ``edgeless`` and ``complete``."""
     cached = _FACTS_CACHE.get(g)
     if cached is not None:
         return cached
-    le = frozenset(x for x in _DOWN if has_induced(_pattern(x), g))
-    ge = frozenset(x for x in _UP if has_induced(g, _pattern(x)))
+    facts = {f"<={x}" for x in _DOWN if has_induced(_pattern(x), g)}
+    facts |= {f">={x}" for x in _UP if has_induced(g, _pattern(x))}
     shp = shape_tests(g)
-    facts = CwFacts(le, ge, in_class_S(g), shp.is_edgeless, shp.is_complete)
-    _FACTS_CACHE[g] = facts
-    return facts
+    if not in_class_S(g):
+        facts.add("not-in-S")
+    if shp.is_edgeless:
+        facts.add("edgeless")
+    if shp.is_complete:
+        facts.add("complete")
+    _FACTS_CACHE[g] = frozenset(facts)
+    return _FACTS_CACHE[g]
 
 
-# Each rule is a conjunction of one predicate per position; symmetric use is
-# obtained by testing both orderings of the pair.  Predicates see the facts
-# of the graph and of its complement.
-Side = Callable[[CwFacts, CwFacts], bool]
+def pair_facts(g: Graph, co: Graph) -> frozenset[str]:
+    """The tokens the pair rules read for g: its own facts, and the facts of
+    its complement ``co`` with a ``co `` prefix."""
+    return cw_facts(g) | {f"co {t}" for t in cw_facts(co)}
 
 
 @dataclass(frozen=True)
 class Rule:
+    """One table row.  Each side holds when the graph's facts share a token
+    with it (None: always); the rule fires on an ordered pair when its left
+    side holds for the first graph and its right side for the second, and it
+    is tested in both orderings."""
+
     rule_id: str
     status: Status
-    left: Side
-    right: Side
+    left: Optional[frozenset[str]]
+    right: Optional[frozenset[str]]
     citation: str
 
+    def __post_init__(self):
+        # the tables write sides as set literals
+        for side in ("left", "right"):
+            tokens = getattr(self, side)
+            if tokens is not None:
+                object.__setattr__(self, side, frozenset(tokens))
 
-def _le(*names: str) -> Side:
-    keys = frozenset(names)
-    return lambda f, fc: bool(keys & f.le)
-
-
-def _co_le(*names: str) -> Side:
-    keys = frozenset(names)
-    return lambda f, fc: bool(keys & fc.le)
-
-
-def _ge(*names: str) -> Side:
-    keys = frozenset(names)
-    return lambda f, fc: bool(keys & f.ge)
-
-
-def _co_ge(*names: str) -> Side:
-    keys = frozenset(names)
-    return lambda f, fc: bool(keys & fc.ge)
-
-
-_ALWAYS: Side = lambda f, fc: True
 
 PAIR_RULES: tuple[Rule, ...] = (
-    Rule("B1", Status.BOUNDED, _le("P4"), _ALWAYS, "cographs have clique-width at most 2 [CO00]"),
-    Rule(
-        "B2",
-        Status.BOUNDED,
-        lambda f, fc: f.edgeless,
-        lambda f, fc: f.complete,
-        "Ramsey: forbidding sP1 and Kt bounds the order of every member",
-    ),
-    Rule(
-        "B3",
-        Status.BOUNDED,
-        _le("P1+P3"),
-        _co_le("K1_3+3P1", "K1_3+P2", "P1+S_1_1_2", "P6", "S_1_1_3"),
-        "triangle side via the paw reduction [Olariu 88]; lists from [DLRR12, BKM06] "
-        "and the two matching-structure bounds",
-    ),
-    Rule(
-        "B4",
-        Status.BOUNDED,
-        _le("2P1+P2"),
-        _co_le("2P1+P3", "3P1+P2", "P2+P3"),
-        "[DHP0]",
-    ),
-    Rule(
-        "B5",
-        Status.BOUNDED,
-        _le("P1+P4"),
-        _co_le("P1+P4", "P5"),
-        "[BLM04b, BLM04]",
-    ),
-    Rule("B6", Status.BOUNDED, _le("4P1"), _co_le("2P1+P3"), "[BDHP15]"),
-    Rule("B7", Status.BOUNDED, _le("K1_3"), _co_le("K1_3"), "[BL02, BM02]"),
-    Rule(
-        "U1",
-        Status.UNBOUNDED,
-        lambda f, fc: not f.in_s,
-        lambda f, fc: not f.in_s,
-        "k-subdivided walls avoid every family outside class S [LR06]",
-    ),
-    Rule(
-        "U2",
-        Status.UNBOUNDED,
-        lambda f, fc: not fc.in_s,
-        lambda f, fc: not fc.in_s,
-        "complement of the class-S rule [LR06 with KLM09]",
-    ),
-    Rule(
-        "U3",
-        Status.UNBOUNDED,
-        _ge("K1_3", "2P2"),
-        _co_ge("4P1", "2P2"),
-        "[BELL06] and split graphs [MR99]",
-    ),
-    Rule(
-        "U4",
-        Status.UNBOUNDED,
-        _ge("P1+P4"),
-        _co_ge("P2+P4"),
-        "two-clique cell-array family: (3P2,P2+P4,P6,co(P1+P4))-free, unbounded",
-    ),
-    Rule(
-        "U5",
-        Status.UNBOUNDED,
-        _ge("2P1+P2"),
-        _co_ge("K1_3", "5P1", "P2+P4", "P6"),
-        "[BELL06]; [DGP14]; [DHP0, preprint version only] for the P2+P4 case; "
-        "flipped triple-cell family for the P6 case",
-    ),
-    Rule(
-        "U6",
-        Status.UNBOUNDED,
-        _ge("3P1"),
-        _co_ge("2P1+2P2", "2P1+P4", "4P1+P2", "3P2", "2P3"),
-        "complements of H-free bipartite graphs [DP14]",
-    ),
-    Rule(
-        "U7",
-        Status.UNBOUNDED,
-        _ge("4P1"),
-        _co_ge("P1+P4", "3P1+P2"),
-        "simple path encodings [KS12, Sc15] and [DGP14]",
-    ),
+    Rule("B1", Status.BOUNDED, {"<=P4"}, None,
+         "cographs have clique-width at most 2 [CO00]"),
+    Rule("B2", Status.BOUNDED, {"edgeless"}, {"complete"},
+         "Ramsey: forbidding sP1 and Kt bounds the order of every member"),
+    Rule("B3", Status.BOUNDED, {"<=P1+P3"},
+         {"co <=K1_3+3P1", "co <=K1_3+P2", "co <=P1+S_1_1_2", "co <=P6", "co <=S_1_1_3"},
+         "triangle side via the paw reduction [Olariu 88]; lists from [DLRR12, BKM06] "
+         "and the two matching-structure bounds"),
+    Rule("B4", Status.BOUNDED, {"<=2P1+P2"}, {"co <=2P1+P3", "co <=3P1+P2", "co <=P2+P3"},
+         "[DHP0]"),
+    Rule("B5", Status.BOUNDED, {"<=P1+P4"}, {"co <=P1+P4", "co <=P5"},
+         "[BLM04b, BLM04]"),
+    Rule("B6", Status.BOUNDED, {"<=4P1"}, {"co <=2P1+P3"},
+         "[BDHP15]"),
+    Rule("B7", Status.BOUNDED, {"<=K1_3"}, {"co <=K1_3"},
+         "[BL02, BM02]"),
+    Rule("U1", Status.UNBOUNDED, {"not-in-S"}, {"not-in-S"},
+         "k-subdivided walls avoid every family outside class S [LR06]"),
+    Rule("U2", Status.UNBOUNDED, {"co not-in-S"}, {"co not-in-S"},
+         "complement of the class-S rule [LR06 with KLM09]"),
+    Rule("U3", Status.UNBOUNDED, {">=K1_3", ">=2P2"}, {"co >=4P1", "co >=2P2"},
+         "[BELL06] and split graphs [MR99]"),
+    Rule("U4", Status.UNBOUNDED, {">=P1+P4"}, {"co >=P2+P4"},
+         "two-clique cell-array family: (3P2,P2+P4,P6,co(P1+P4))-free, unbounded"),
+    Rule("U5", Status.UNBOUNDED, {">=2P1+P2"}, {"co >=K1_3", "co >=5P1", "co >=P2+P4", "co >=P6"},
+         "[BELL06]; [DGP14]; [DHP0, preprint version only] for the P2+P4 case; "
+         "flipped triple-cell family for the P6 case"),
+    Rule("U6", Status.UNBOUNDED, {">=3P1"},
+         {"co >=2P1+2P2", "co >=2P1+P4", "co >=4P1+P2", "co >=3P2", "co >=2P3"},
+         "complements of H-free bipartite graphs [DP14]"),
+    Rule("U7", Status.UNBOUNDED, {">=4P1"}, {"co >=P1+P4", "co >=3P1+P2"},
+         "simple path encodings [KS12, Sc15] and [DGP14]"),
 )
 
-BOUNDED_BITS = sum(1 << r for r, rule in enumerate(PAIR_RULES) if rule.status is Status.BOUNDED)
-UNBOUNDED_BITS = sum(1 << r for r, rule in enumerate(PAIR_RULES) if rule.status is Status.UNBOUNDED)
+
+def _status_bits(rules: tuple[Rule, ...], status: Status) -> int:
+    """Bitmask of the rules (bit r is ``rules[r]``) with the given status."""
+    return sum(1 << r for r, rule in enumerate(rules) if rule.status is status)
+
+
+BOUNDED_BITS = _status_bits(PAIR_RULES, Status.BOUNDED)
+UNBOUNDED_BITS = _status_bits(PAIR_RULES, Status.UNBOUNDED)
 
 
 # -- the thirteen open cases ----------------------------------------------
@@ -306,8 +262,9 @@ OPEN_CASES: tuple[tuple[str, str, str], ...] = _open_cases()
 
 # -- the pair kernel --------------------------------------------------------
 #
-# classify_pair and the exhaustive scan share the three steps below.  Nodes
-# are whatever the caller classifies: labelled graphs here, integer ids of
+# classify_pair and the exhaustive scan share the steps below;
+# classify_colouring uses rule_sides and fire on its one pair.  Nodes are
+# whatever the caller classifies: labelled graphs here, integer ids of
 # catalogue graphs in the scan.  The caller supplies, per node, its key (equal
 # exactly for isomorphic graphs), its complement, its K3/paw swap partner and
 # its rule sides.
@@ -315,15 +272,14 @@ OPEN_CASES: tuple[tuple[str, str, str], ...] = _open_cases()
 Node = TypeVar("Node")
 
 
-def rule_sides(f: CwFacts, fc: CwFacts) -> tuple[int, int]:
-    """Bitmasks of the rules (bit r is ``PAIR_RULES[r]``) whose left and
-    whose right side hold for a graph with facts ``f`` and complement facts
-    ``fc``."""
+def rule_sides(rules: tuple[Rule, ...], facts: frozenset[str]) -> tuple[int, int]:
+    """Bitmasks of the rules (bit r is ``rules[r]``) whose left and whose
+    right side hold for a graph with the given fact tokens."""
     left = right = 0
-    for r, rule in enumerate(PAIR_RULES):
-        if rule.left(f, fc):
+    for r, rule in enumerate(rules):
+        if rule.left is None or not rule.left.isdisjoint(facts):
             left |= 1 << r
-        if rule.right(f, fc):
+        if rule.right is None or not rule.right.isdisjoint(facts):
             right |= 1 << r
     return left, right
 
@@ -414,7 +370,7 @@ def _graph_swap(g: Graph) -> Optional[Graph]:
 
 
 def _graph_sides(g: Graph) -> tuple[int, int]:
-    return rule_sides(cw_facts(g), cw_facts(complement(g)))
+    return rule_sides(PAIR_RULES, pair_facts(g, complement(g)))
 
 
 def equivalence_class(h1: Graph, h2: Graph) -> list[tuple[Graph, Graph]]:
@@ -438,19 +394,27 @@ def classify_single(h: Graph) -> Verdict:
     )
 
 
+def _fired_ids(rules: tuple[Rule, ...], fired: int) -> str:
+    return ", ".join(rule.rule_id for r, rule in enumerate(rules) if fired >> r & 1)
+
+
+def _first_verdict(rules: tuple[Rule, ...], first: tuple[int, Graph, Graph]) -> Verdict:
+    r, a, b = first
+    rule = rules[r]
+    return Verdict(rule.status, rule.rule_id, (display_name(a), display_name(b)), rule.citation)
+
+
 def classify_pair(h1: Graph, h2: Graph) -> Verdict:
     """Two forbidden induced subgraphs: Bounded, Unbounded, or Open; total."""
     members = equivalence_class(h1, h2)
     fired, first = fire(members, _graph_sides)
     if fired & BOUNDED_BITS and fired & UNBOUNDED_BITS:
-        ids = ", ".join(rule.rule_id for r, rule in enumerate(PAIR_RULES) if fired >> r & 1)
         raise InvariantViolation(
-            f"rules {ids} fire together on the class of ({display_name(h1)},{display_name(h2)})-free graphs"
+            f"rules {_fired_ids(PAIR_RULES, fired)} fire together on the class of "
+            f"({display_name(h1)},{display_name(h2)})-free graphs"
         )
     if first is not None:
-        r, a, b = first
-        rule = PAIR_RULES[r]
-        return Verdict(rule.status, rule.rule_id, (display_name(a), display_name(b)), rule.citation)
+        return _first_verdict(PAIR_RULES, first)
     case = open_case(members, _graph_key)
     if case is not None:
         case_id, n1, n2 = case
@@ -535,134 +499,98 @@ _COL_LE = (
 _SPANNING_2P2 = ("2P2", "2P1+P2", "4P1")
 
 
-@dataclass(frozen=True)
-class ColFacts:
-    le: frozenset[str]
-    ge: frozenset[str]
-    flags: frozenset[str]
+_COL_CACHE: dict[Graph, frozenset[str]] = {}
 
 
-_COL_CACHE: dict[Graph, ColFacts] = {}
-
-
-def colouring_facts(g: Graph) -> ColFacts:
+def colouring_facts(g: Graph) -> frozenset[str]:
+    """The graph's fact tokens for the colouring rules: ``<=X`` and ``>=X``
+    as in ``cw_facts``, over the colouring catalogue, and the flags below."""
     cached = _COL_CACHE.get(g)
     if cached is not None:
         return cached
-    le = frozenset(x for x in _COL_LE if has_induced(_pattern(x), g))
-    ge = frozenset(x for x in _COL_GE if has_induced(g, _pattern(x)))
-    flags = set()
+    facts = {f"<={x}" for x in _COL_LE if has_induced(_pattern(x), g)}
+    facts |= {f">={x}" for x in _COL_GE if has_induced(g, _pattern(x))}
     shp = shape_tests(g)
     co = complement(g)
     if not shp.is_forest:
-        flags.add("has-cycle")
+        facts.add("has-cycle")
         if has_induced_cycle_at_least(g, 4, max_vertices=g.n):
-            flags.add("has-cycle>=4")
+            facts.add("has-cycle>=4")
         if has_induced_cycle_at_least(g, 5, max_vertices=g.n):
-            flags.add("has-cycle>=5")
+            facts.add("has-cycle>=5")
     if not shape_tests(co).is_forest and has_induced_cycle_at_least(co, 6, max_vertices=co.n):
-        flags.add("co-has-cycle>=6")
+        facts.add("co-has-cycle>=6")
     if any(has_induced(g, _pattern(x)) for x in _SPANNING_2P2):
-        flags.add("spanning-2P2")
+        facts.add("spanning-2P2")
     if g.max_degree() <= 1:
-        flags.add("matching")
+        facts.add("matching")
     nontrivial = [v for v in range(g.n) if g.degree(v) > 0]
     if has_induced(_pattern("P5"), induced_subgraph(g, nontrivial)):
-        flags.add("isolates-plus-P5-part")
+        facts.add("isolates-plus-P5-part")
     if shp.is_complete and g.n >= 4:
-        flags.add("clique>=4")
+        facts.add("clique>=4")
     if len(g.edges) <= 1:
-        flags.add("at-most-one-edge")
+        facts.add("at-most-one-edge")
     if len(co.edges) <= 1:
-        flags.add("co-at-most-one-edge")
+        facts.add("co-at-most-one-edge")
     if is_isomorphic(g, _pattern("2P2")):
-        flags.add("is-2P2")
+        facts.add("is-2P2")
     if shp.is_forest and g.n <= 6 and not is_isomorphic(g, _pattern("K1_5")):
-        flags.add("small-forest-not-K1_5")
+        facts.add("small-forest-not-K1_5")
     if is_isomorphic(g, _pattern("K1_3+3P1")):
-        flags.add("is-K1_3+3P1")
-    facts = ColFacts(le, ge, frozenset(flags))
-    _COL_CACHE[g] = facts
-    return facts
+        facts.add("is-K1_3+3P1")
+    _COL_CACHE[g] = frozenset(facts)
+    return _COL_CACHE[g]
 
 
-ColSide = Callable[[ColFacts], bool]
-
-
-@dataclass(frozen=True)
-class ColRule:
-    rule_id: str
-    status: Status
-    left: ColSide
-    right: ColSide
-    citation: str
-
-
-def _cge(*names: str) -> ColSide:
-    keys = frozenset(names)
-    return lambda f: bool(keys & f.ge)
-
-
-def _cle(*names: str) -> ColSide:
-    keys = frozenset(names)
-    return lambda f: bool(keys & f.le)
-
-
-def _flag(*names: str) -> ColSide:
-    keys = frozenset(names)
-    return lambda f: bool(keys & f.flags)
-
-
-COLOURING_RULES: tuple[ColRule, ...] = (
-    ColRule("COL-N1", Status.NP_COMPLETE, _flag("has-cycle"), _flag("has-cycle"),
-            "both sides keep some chordless cycle"),
-    ColRule("COL-N2", Status.NP_COMPLETE, _cge("K1_3"), _cge("K1_3"),
-            "both sides keep the claw"),
-    ColRule("COL-N3", Status.NP_COMPLETE, _flag("spanning-2P2"), _flag("spanning-2P2"),
-            "both sides keep a spanning subgraph of 2P2 induced"),
-    ColRule("COL-N4", Status.NP_COMPLETE, _cge("bull"), _cge("K1_4"),
-            "bull versus K1_4"),
-    ColRule("COL-N5", Status.NP_COMPLETE, _cge("K3"), _cge("K1_5"),
-            "triangle versus K1_r, r >= 5"),
-    ColRule("COL-N6", Status.NP_COMPLETE, _flag("has-cycle>=4"), _cge("K1_3"),
-            "chordless cycle of length >= 4 versus the claw"),
-    ColRule("COL-N7", Status.NP_COMPLETE, _cge("K3"), _cge("P22"),
-            "triangle versus the 22-vertex path (constant taken verbatim)"),
-    ColRule("COL-N8", Status.NP_COMPLETE, _flag("has-cycle>=5"), _flag("spanning-2P2"),
-            "chordless cycle of length >= 5 versus a spanning subgraph of 2P2"),
-    ColRule("COL-N9", Status.NP_COMPLETE,
-            lambda f: bool(f.ge & {"C3+P1", "C4+P1"}) or "co-has-cycle>=6" in f.flags,
-            _flag("spanning-2P2"),
-            "cycle-plus-vertex or long anticycle versus a spanning subgraph of 2P2"),
-    ColRule("COL-N10", Status.NP_COMPLETE, _cge("K4", "diamond"), _cge("K1_3"),
-            "K4 or the diamond versus the claw"),
-    ColRule("COL-P1", Status.POLYNOMIAL, _cle("P1+P3", "P4"), lambda f: True,
-            "one side inside P1+P3 or P4"),
-    ColRule("COL-P2", Status.POLYNOMIAL, _cle("K1_3"), _cle("bull", "hammer", "P5"),
-            "claw-side pairs"),
-    ColRule("COL-P3", Status.POLYNOMIAL, _flag("small-forest-not-K1_5", "is-K1_3+3P1"), _cle("paw"),
-            "small forests (not K1_5) or K1_3+3P1 versus the paw"),
-    ColRule("COL-P4", Status.POLYNOMIAL, _flag("matching", "isolates-plus-P5-part"), _flag("clique>=4"),
-            "matchings or P5-plus-isolates versus a clique"),
-    ColRule("COL-P5", Status.POLYNOMIAL, _flag("matching", "isolates-plus-P5-part"), _cle("paw"),
-            "matchings or P5-plus-isolates versus the paw"),
-    ColRule("COL-P6", Status.POLYNOMIAL, _cle("P1+P4", "P5"), _cle("gem"),
-            "P1+P4 or P5 versus the gem"),
-    ColRule("COL-P7", Status.POLYNOMIAL, _cle("P1+P4", "P5"), _cle("co(P5)"),
-            "P1+P4 or P5 versus co(P5)"),
-    ColRule("COL-P8", Status.POLYNOMIAL, _cle("2P1+P2"), _cle("co(3P1+P2)", "co(2P1+P3)"),
-            "2P1+P2 versus small complements"),
-    ColRule("COL-P9", Status.POLYNOMIAL, _cle("diamond"), _cle("3P1+P2", "2P1+P3"),
-            "the diamond versus small linear forests"),
-    ColRule("COL-P10", Status.POLYNOMIAL,
-            lambda f: "at-most-one-edge" in f.flags or "is-2P2" in f.flags,
-            _flag("co-at-most-one-edge"),
-            "near-edgeless versus near-complete"),
-    ColRule("COL-P11", Status.POLYNOMIAL, _cle("4P1"), _cle("co(2P1+P3)"),
-            "4P1 versus co(2P1+P3)"),
-    ColRule("COL-P12", Status.POLYNOMIAL, _cle("P5"), _cle("C4", "co(2P1+P3)"),
-            "P5 versus C4 or co(2P1+P3)"),
+COLOURING_RULES: tuple[Rule, ...] = (
+    Rule("COL-N1", Status.NP_COMPLETE, {"has-cycle"}, {"has-cycle"},
+         "both sides keep some chordless cycle"),
+    Rule("COL-N2", Status.NP_COMPLETE, {">=K1_3"}, {">=K1_3"},
+         "both sides keep the claw"),
+    Rule("COL-N3", Status.NP_COMPLETE, {"spanning-2P2"}, {"spanning-2P2"},
+         "both sides keep a spanning subgraph of 2P2 induced"),
+    Rule("COL-N4", Status.NP_COMPLETE, {">=bull"}, {">=K1_4"},
+         "bull versus K1_4"),
+    Rule("COL-N5", Status.NP_COMPLETE, {">=K3"}, {">=K1_5"},
+         "triangle versus K1_r, r >= 5"),
+    Rule("COL-N6", Status.NP_COMPLETE, {"has-cycle>=4"}, {">=K1_3"},
+         "chordless cycle of length >= 4 versus the claw"),
+    Rule("COL-N7", Status.NP_COMPLETE, {">=K3"}, {">=P22"},
+         "triangle versus the 22-vertex path (constant taken verbatim)"),
+    Rule("COL-N8", Status.NP_COMPLETE, {"has-cycle>=5"}, {"spanning-2P2"},
+         "chordless cycle of length >= 5 versus a spanning subgraph of 2P2"),
+    Rule("COL-N9", Status.NP_COMPLETE, {">=C3+P1", ">=C4+P1", "co-has-cycle>=6"}, {"spanning-2P2"},
+         "cycle-plus-vertex or long anticycle versus a spanning subgraph of 2P2"),
+    Rule("COL-N10", Status.NP_COMPLETE, {">=K4", ">=diamond"}, {">=K1_3"},
+         "K4 or the diamond versus the claw"),
+    Rule("COL-P1", Status.POLYNOMIAL, {"<=P1+P3", "<=P4"}, None,
+         "one side inside P1+P3 or P4"),
+    Rule("COL-P2", Status.POLYNOMIAL, {"<=K1_3"}, {"<=bull", "<=hammer", "<=P5"},
+         "claw-side pairs"),
+    Rule("COL-P3", Status.POLYNOMIAL, {"small-forest-not-K1_5", "is-K1_3+3P1"}, {"<=paw"},
+         "small forests (not K1_5) or K1_3+3P1 versus the paw"),
+    Rule("COL-P4", Status.POLYNOMIAL, {"matching", "isolates-plus-P5-part"}, {"clique>=4"},
+         "matchings or P5-plus-isolates versus a clique"),
+    Rule("COL-P5", Status.POLYNOMIAL, {"matching", "isolates-plus-P5-part"}, {"<=paw"},
+         "matchings or P5-plus-isolates versus the paw"),
+    Rule("COL-P6", Status.POLYNOMIAL, {"<=P1+P4", "<=P5"}, {"<=gem"},
+         "P1+P4 or P5 versus the gem"),
+    Rule("COL-P7", Status.POLYNOMIAL, {"<=P1+P4", "<=P5"}, {"<=co(P5)"},
+         "P1+P4 or P5 versus co(P5)"),
+    Rule("COL-P8", Status.POLYNOMIAL, {"<=2P1+P2"}, {"<=co(3P1+P2)", "<=co(2P1+P3)"},
+         "2P1+P2 versus small complements"),
+    Rule("COL-P9", Status.POLYNOMIAL, {"<=diamond"}, {"<=3P1+P2", "<=2P1+P3"},
+         "the diamond versus small linear forests"),
+    Rule("COL-P10", Status.POLYNOMIAL, {"at-most-one-edge", "is-2P2"}, {"co-at-most-one-edge"},
+         "near-edgeless versus near-complete"),
+    Rule("COL-P11", Status.POLYNOMIAL, {"<=4P1"}, {"<=co(2P1+P3)"},
+         "4P1 versus co(2P1+P3)"),
+    Rule("COL-P12", Status.POLYNOMIAL, {"<=P5"}, {"<=C4", "<=co(2P1+P3)"},
+         "P5 versus C4 or co(2P1+P3)"),
 )
+NP_COMPLETE_BITS = _status_bits(COLOURING_RULES, Status.NP_COMPLETE)
+POLYNOMIAL_BITS = _status_bits(COLOURING_RULES, Status.POLYNOMIAL)
 
 
 COLOURING_OPEN_CASES: tuple[tuple[str, str], ...] = (
@@ -684,26 +612,20 @@ COLOURING_OPEN_CASES: tuple[tuple[str, str], ...] = (
 )
 
 
+def _colouring_sides(g: Graph) -> tuple[int, int]:
+    return rule_sides(COLOURING_RULES, colouring_facts(g))
+
+
 def classify_colouring(h1: Graph, h2: Graph) -> Verdict:
     """Colouring complexity for the pair; Unknown when no table row applies."""
-    fa, fb = colouring_facts(h1), colouring_facts(h2)
-    fired: list[tuple[ColRule, tuple[Graph, Graph]]] = []
-    for rule in COLOURING_RULES:
-        if rule.left(fa) and rule.right(fb):
-            fired.append((rule, (h1, h2)))
-        elif rule.left(fb) and rule.right(fa):
-            fired.append((rule, (h2, h1)))
-    statuses = {rule.status for rule, _ in fired}
-    if Status.NP_COMPLETE in statuses and Status.POLYNOMIAL in statuses:
-        n_hit = next(r.rule_id for r, _ in fired if r.status is Status.NP_COMPLETE)
-        p_hit = next(r.rule_id for r, _ in fired if r.status is Status.POLYNOMIAL)
+    fired, first = fire([(h1, h2)], _colouring_sides)
+    if fired & NP_COMPLETE_BITS and fired & POLYNOMIAL_BITS:
         raise InvariantViolation(
-            f"colouring rules {n_hit} and {p_hit} both fire on "
+            f"colouring rules {_fired_ids(COLOURING_RULES, fired)} fire together on "
             f"({display_name(h1)},{display_name(h2)})"
         )
-    if fired:
-        rule, (a, b) = fired[0]
-        return Verdict(rule.status, rule.rule_id, (display_name(a), display_name(b)), rule.citation)
+    if first is not None:
+        return _first_verdict(COLOURING_RULES, first)
     return Verdict(
         Status.UNKNOWN,
         "COL-OPEN",

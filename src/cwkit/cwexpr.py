@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, _Tokens
 from .graphs import Graph
 
 __all__ = [
@@ -172,55 +172,9 @@ def width(expr: CwExpr) -> int:
 
 # -- concrete syntax -------------------------------------------------------
 
-_INT = re.compile(r"\d+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_SYMBOLS = ("->", "+", "(", ")", ",", ";")
 _KEYWORDS = ("eta", "rho")
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            ch = text[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            if text.startswith("->", pos):
-                self.items.append(("sym", "->", pos))
-                pos += 2
-            elif ch.isdigit():
-                m = _INT.match(text, pos)
-                self.items.append(("int", m.group(), pos))
-                pos = m.end()
-            elif ch.isalpha() or ch == "_":
-                m = _NAME.match(text, pos)
-                kind = "kw" if m.group() in _KEYWORDS else "name"
-                self.items.append((kind, m.group(), pos))
-                pos = m.end()
-            elif ch in "+(),;":
-                self.items.append(("sym", ch, pos))
-                pos += 1
-            else:
-                raise ParseError("unexpected character", text, pos)
-        self.i = 0
-
-    def peek(self):
-        return self.items[self.i] if self.i < len(self.items) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", self.text, len(self.text))
-        self.i += 1
-        return tok
-
-    def expect(self, kind, value=None):
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            raise ParseError(f"expected {value or kind}", self.text, tok[2])
-        return tok
 
 
 def _build(toks: _Tokens, pos: int, node, *args) -> CwExpr:
@@ -259,7 +213,7 @@ def _parse_expr(toks: _Tokens) -> CwExpr:
             raise ParseError("expected an expression", toks.text, pos)
         toks.expect("sym", "(")
         name = toks.next()
-        if name[0] not in ("name", "int"):
+        if name[0] not in ("word", "int"):
             raise ParseError("expected a vertex name", toks.text, name[2])
         toks.expect("sym", ")")
         prim = _build(toks, pos, Create, int(value), name[1])
@@ -280,7 +234,7 @@ def _parse_expr(toks: _Tokens) -> CwExpr:
 
 
 def parse_cwexpr(text: str) -> CwExpr:
-    toks = _Tokens(text)
+    toks = _Tokens(text, _SYMBOLS, _NAME, _KEYWORDS, "expression")
     expr = _parse_expr(toks)
     extra = toks.peek()
     if extra is not None:

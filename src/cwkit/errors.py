@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by all cwkit modules.
+"""Exception hierarchy shared by all cwkit modules, and the tokenizer of the
+text grammars, which reports positions through ParseError.
 
 The CLI maps these onto exit codes: InputError -> 2, CapacityError -> 3,
 InvariantViolation -> 4.
 """
+
+import re
+from typing import Optional
 
 
 class CwkitError(Exception):
@@ -36,3 +40,62 @@ class CapacityError(CwkitError):
 
 class InvariantViolation(CwkitError):
     """An internal consistency guarantee failed; always a bug, never user error."""
+
+
+_INT = re.compile(r"\d+")
+
+
+class _Tokens:
+    """The tokens of one input, as (kind, text, position) triples.
+
+    Kinds: "int" (a run of digits), "word" (a match of ``word``), "kw" (a
+    word listed in ``keywords``) and "sym" (one of ``symbols``, tried in
+    order).  Whitespace separates tokens; any other character is a parse
+    error.  ``noun`` names the input in the end-of-input error.
+    """
+
+    def __init__(
+        self,
+        text: str,
+        symbols: tuple[str, ...],
+        word: re.Pattern,
+        keywords: tuple[str, ...] = (),
+        noun: str = "input",
+    ):
+        self.text = text
+        self.noun = noun
+        self.items: list[tuple[str, str, int]] = []
+        pos = 0
+        while pos < len(text):
+            if text[pos].isspace():
+                pos += 1
+                continue
+            sym = next((s for s in symbols if text.startswith(s, pos)), None)
+            if sym is not None:
+                self.items.append(("sym", sym, pos))
+                pos += len(sym)
+            elif m := _INT.match(text, pos):
+                self.items.append(("int", m.group(), pos))
+                pos = m.end()
+            elif m := word.match(text, pos):
+                self.items.append(("kw" if m.group() in keywords else "word", m.group(), pos))
+                pos = m.end()
+            else:
+                raise ParseError("unexpected character", text, pos)
+        self.i = 0
+
+    def peek(self) -> Optional[tuple[str, str, int]]:
+        return self.items[self.i] if self.i < len(self.items) else None
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(f"unexpected end of {self.noun}", self.text, len(self.text))
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, value: Optional[str] = None) -> tuple[str, str, int]:
+        tok = self.next()
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            raise ParseError(f"expected {value or kind}", self.text, tok[2])
+        return tok

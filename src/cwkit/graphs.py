@@ -400,6 +400,7 @@ def _g6_size_bytes(n: int) -> bytes:
 
 
 _SEXTETS = {format(i, "06b"): chr(i + 63) for i in range(64)}
+_SEXTET_BITS = {ord(ch): bits for bits, ch in _SEXTETS.items()}
 
 
 def to_graph6(g: Graph) -> str:
@@ -436,18 +437,14 @@ def from_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ParseError(f"graph6 body has {len(body)} bytes, expected {need} for n={n}")
-    bits = []
-    for ch in body:
-        value = ch - 63
-        for k in range(5, -1, -1):
-            bits.append(value >> k & 1)
+    # Column v is the v bits after the first v(v-1)/2, with u = 0 first, as
+    # to_graph6 writes them.
+    bits = "".join(map(_SEXTET_BITS.__getitem__, body))
     edges = []
-    i = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
+        start = v * (v - 1) // 2
+        column = int(bits[start : start + v][::-1], 2)
+        edges += [(u, v) for u in _bits(column)]
     return Graph(n, edges)
 
 

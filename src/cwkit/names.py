@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, _Tokens
 from .graphs import Graph, complement, disjoint_union, induced_subgraph
 
 __all__ = [
@@ -158,68 +159,23 @@ NameExpr = Union[
 
 NESTING_CAP = 100
 
-_INT = re.compile(r"\d+")
 _WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            ch = text[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            if ch.isdigit():
-                m = _INT.match(text, pos)
-                self.items.append(("int", m.group(), pos))
-                pos = m.end()
-            elif ch.isalpha():
-                m = _WORD.match(text, pos)
-                self.items.append(("word", m.group(), pos))
-                pos = m.end()
-            elif ch in "+(),":
-                self.items.append(("sym", ch, pos))
-                pos += 1
-            else:
-                raise ParseError("unexpected character", text, pos)
-        self.i = 0
-        self.depth = 0
-
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.items[self.i] if self.i < len(self.items) else None
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text, len(self.text))
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, value: Optional[str] = None) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            raise ParseError(f"expected {value or kind}", self.text, tok[2])
-        return tok
+_SYMBOLS = ("+", "(", ")", ",")
 
 
 _WORD_ATOM = re.compile(r"^(?:P(\d+)|C(\d+)|K1_(\d+)|K(\d+)|S_(\d+)_(\d+)_(\d+))$")
 
 
-def _parse_atom(toks: _Tokens) -> NameExpr:
+def _parse_atom(toks: _Tokens, depth: int) -> NameExpr:
     kind, value, pos = toks.next()
     if kind != "word":
         raise ParseError("expected a graph name", toks.text, pos)
     if value == "co":
         toks.expect("sym", "(")
-        toks.depth += 1
-        if toks.depth > NESTING_CAP:
+        if depth >= NESTING_CAP:
             raise ParseError(f"co(...) nested deeper than {NESTING_CAP}", toks.text, pos)
-        inner = _parse_expr(toks)
+        inner = _parse_expr(toks, depth + 1)
         toks.expect("sym", ")")
-        toks.depth -= 1
         return Complement(inner)
     if value in ("wall", "swall", "grid"):
         toks.expect("sym", "(")
@@ -257,7 +213,7 @@ def _parse_atom(toks: _Tokens) -> NameExpr:
     raise ParseError(f"unknown graph name {value!r}", toks.text, pos)
 
 
-def _parse_term(toks: _Tokens) -> tuple[int, NameExpr]:
+def _parse_term(toks: _Tokens, depth: int) -> tuple[int, NameExpr]:
     mult = 1
     tok = toks.peek()
     if tok is not None and tok[0] == "int":
@@ -265,21 +221,22 @@ def _parse_term(toks: _Tokens) -> tuple[int, NameExpr]:
         mult = int(tok[1])
         if mult < 1:
             raise ParseError("multiplier must be at least 1", toks.text, tok[2])
-    return mult, _parse_atom(toks)
+    return mult, _parse_atom(toks, depth)
 
 
-def _parse_expr(toks: _Tokens) -> NameExpr:
-    parts = [_parse_term(toks)]
+def _parse_expr(toks: _Tokens, depth: int = 0) -> NameExpr:
+    """An expression inside ``depth`` open ``co(``."""
+    parts = [_parse_term(toks, depth)]
     while toks.peek() is not None and toks.peek()[1] == "+":
         toks.next()
-        parts.append(_parse_term(toks))
+        parts.append(_parse_term(toks, depth))
     if len(parts) == 1 and parts[0][0] == 1:
         return parts[0][1]
     return Sum(tuple(parts))
 
 
 def parse_name(text: str) -> NameExpr:
-    toks = _Tokens(text)
+    toks = _Tokens(text, _SYMBOLS, _WORD)
     expr = _parse_expr(toks)
     extra = toks.peek()
     if extra is not None:
@@ -414,11 +371,16 @@ def _recognize_connected(g: Graph) -> Optional[NameExpr]:
         return SubdividedClaw(*legs)
     from .isomorphism import is_isomorphic
 
-    for name in ("paw", "diamond", "bull", "hammer", "gem"):
-        model = realize(Named(name))
+    for name, model in _named_models():
         if n == model.n and is_isomorphic(g, model):
             return Named(name)
     return None
+
+
+@lru_cache(maxsize=None)
+def _named_models() -> tuple[tuple[str, Graph], ...]:
+    names = ("paw", "diamond", "bull", "hammer", "gem")
+    return tuple((name, realize(Named(name))) for name in names)
 
 
 def _claw_leg_lengths(g: Graph) -> list[int]:
@@ -436,15 +398,15 @@ def _claw_leg_lengths(g: Graph) -> list[int]:
 def _recognize_direct(g: Graph) -> Optional[NameExpr]:
     if g.n == 0:
         return None
-    parts: list[NameExpr] = []
+    parts: list[tuple[int, str, NameExpr]] = []
     for comp in g.components():
         node = _recognize_connected(induced_subgraph(g, comp))
         if node is None:
             return None
-        parts.append(node)
-    parts.sort(key=lambda e: (realize(e).n, format_name(e)))
+        parts.append((len(comp), format_name(node), node))
+    parts.sort(key=lambda part: part[:2])
     grouped: list[tuple[int, NameExpr]] = []
-    for node in parts:
+    for _, _, node in parts:
         if grouped and grouped[-1][1] == node:
             grouped[-1] = (grouped[-1][0] + 1, node)
         else:

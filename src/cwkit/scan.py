@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classifier import BOUNDED_BITS, UNBOUNDED_BITS, Status, cw_facts, display_name
-from .classifier import fire, open_case, pair_class, rule_sides
+from .classifier import BOUNDED_BITS, PAIR_RULES, UNBOUNDED_BITS, Status, display_name
+from .classifier import fire, open_case, pair_class, pair_facts, rule_sides
 from .enumeration import nonisomorphic_graphs_upto
 from .graphs import complement
 from .isomorphism import canonical_key
@@ -51,7 +51,7 @@ def scan_pairs(max_vertices: int = 7) -> ScanResult:
     keys = [canonical_key(g) for g in graphs]
     ids = {k: i for i, k in enumerate(keys)}
     co = [ids[canonical_key(complement(g))] for g in graphs]
-    sides = [rule_sides(cw_facts(g), cw_facts(graphs[co[i]])) for i, g in enumerate(graphs)]
+    sides = [rule_sides(PAIR_RULES, pair_facts(g, graphs[co[i]])) for i, g in enumerate(graphs)]
     # Ids are their own keys; K3 and the paw swap only when both are in range.
     k3 = ids.get(canonical_key(graph_named("K3")))
     paw = ids.get(canonical_key(graph_named("paw")))

@@ -209,11 +209,8 @@ class WitnessFamily:
 
     family_id: str
     arity: int
-    min_params: tuple[int, ...]
     build: Callable
-    freeness: tuple[str, ...]  # name-DSL patterns the members avoid
-    has_partition: bool
-    describe: str
+    freeness: tuple[str, ...] = ()  # name-DSL patterns the members avoid
 
 
 def _wall_entry(h: int):
@@ -243,29 +240,11 @@ def _thm5g_entry(n: int):
 FAMILIES: dict[str, WitnessFamily] = {
     f.family_id: f
     for f in (
-        WitnessFamily("wall", 1, (2,), _wall_entry, (), False, "brick wall of height h"),
-        WitnessFamily("swall", 2, (2, 0), _swall_entry, (), False, "wall with every edge subdivided k times"),
-        WitnessFamily("grid", 1, (3,), _grid_entry, (), True, "n-by-n grid with its certificate partition"),
-        WitnessFamily(
-            "thm4G", 1, (2,), _thm4g_entry, (), True, "layered triple-cell family (certificate, m=0)"
-        ),
-        WitnessFamily(
-            "thm4H",
-            1,
-            (2,),
-            _thm4h_entry,
-            ("P6", "co(2P1+P2)"),
-            False,
-            "triple-cell family after flipping the cell b/w layers",
-        ),
-        WitnessFamily(
-            "thm5G",
-            1,
-            (2,),
-            _thm5g_entry,
-            ("3P2", "P2+P4", "P6", "co(P1+P4)"),
-            True,
-            "two-clique family over an independent cell array (certificate, m=0)",
-        ),
+        WitnessFamily("wall", 1, _wall_entry),
+        WitnessFamily("swall", 2, _swall_entry),
+        WitnessFamily("grid", 1, _grid_entry),
+        WitnessFamily("thm4G", 1, _thm4g_entry),
+        WitnessFamily("thm4H", 1, _thm4h_entry, ("P6", "co(2P1+P2)")),
+        WitnessFamily("thm5G", 1, _thm5g_entry, ("3P2", "P2+P4", "P6", "co(P1+P4)")),
     )
 }

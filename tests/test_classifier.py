@@ -15,7 +15,7 @@ from cwkit.classifier import (
     equivalence_class,
 )
 from cwkit.enumeration import nonisomorphic_graphs_upto
-from cwkit.errors import InputError
+from cwkit.errors import InputError, InvariantViolation
 from cwkit.graphs import complement, from_graph6
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import graph_named
@@ -161,6 +161,50 @@ def test_pair_lines_golden_labelled_members():
     assert verdict.line() == _U1.format(f"K3,graph6:{grid}")
     assert len(equivalence_class(graph_named("grid(5)"), graph_named("co(grid(5))"))) == 1
 
+
+def test_colouring_lines_golden_up_to_five_vertices():
+    # every ordered pair of graphs with at most 5 vertices; pins the rule, the
+    # orientation of the match and its display names
+    graphs = nonisomorphic_graphs_upto(5)
+    lines = [classify_colouring(a, b).line() for a in graphs for b in graphs]
+    assert len(lines) == 2704
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5fb990b2e1ea4948955e51748c2dc2b7e6cc7070b862c66890b0343bf56e4ffe"
+
+
+_COL_N1 = "status=NP-complete rule=COL-N1 matched={} cite=both sides keep some chordless cycle"
+_COL_P1 = "status=Polynomial rule=COL-P1 matched={} cite=one side inside P1+P3 or P4"
+
+
+@pytest.mark.parametrize("g6", ["ERUO", "EhCg", "FT?T_", "FseK?"])
+def test_colouring_lines_golden_unrecognised_graphs(g6):
+    g = from_graph6(g6)
+    shown = f"graph6:{g6}"
+    for name in ("K3", "paw"):
+        h = graph_named(name)
+        assert classify_colouring(g, h).line() == _COL_N1.format(f"{shown},{name}")
+        assert classify_colouring(h, g).line() == _COL_N1.format(f"{name},{shown}")
+    for name in ("3P1", "P1+P3"):
+        h = graph_named(name)
+        assert classify_colouring(g, h).line() == _COL_P1.format(f"{name},{shown}")
+        assert classify_colouring(h, g).line() == _COL_P1.format(f"{name},{shown}")
+
+
+def test_conflict_errors_list_every_fired_rule(monkeypatch):
+    import cwkit.classifier as classifier
+
+    every = (1 << 64) - 1
+    k3, p4 = graph_named("K3"), graph_named("P4")
+    monkeypatch.setattr(classifier, "_graph_sides", lambda g: (every, every))
+    ids = ", ".join(rule.rule_id for rule in classifier.PAIR_RULES)
+    with pytest.raises(InvariantViolation) as info:
+        classify_pair(k3, p4)
+    assert str(info.value) == f"rules {ids} fire together on the class of (K3,P4)-free graphs"
+    monkeypatch.setattr(classifier, "_colouring_sides", lambda g: (every, every))
+    ids = ", ".join(rule.rule_id for rule in classifier.COLOURING_RULES)
+    with pytest.raises(InvariantViolation) as info:
+        classify_colouring(k3, p4)
+    assert str(info.value) == f"colouring rules {ids} fire together on (K3,P4)"
 
 def test_relation_fixtures():
     assert classify_relation([graph_named("P4")], "subgraph").status is Status.BOUNDED

@@ -53,6 +53,27 @@ def test_parse_errors_carry_position():
             parse_cwexpr(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message, pos",
+    [
+        ("", "unexpected end of expression", 0),
+        ("1(a", "unexpected end of expression", 3),
+        ("@", "unexpected character", 0),
+        ("eta(1;1(a))", "expected ,", 5),
+        ("rho(1,2; 1(a))", "expected ->", 5),
+        ("rho(1->2 1(a))", "expected ;", 9),
+        ("1(a) 2(b)", "trailing input after expression", 5),
+        ("1(+)", "expected a vertex name", 2),
+        ("x", "expected an expression", 0),
+        ("eta(1,1; 1(a)+1(b))", "eta(1,1): join labels must differ", 0),
+    ],
+)
+def test_parse_error_messages_and_positions(bad, message, pos):
+    with pytest.raises(ParseError) as info:
+        parse_cwexpr(bad)
+    assert info.value.pos == pos
+    assert str(info.value) == f"{message} (at position {pos}: {bad[pos:pos + 12]!r})"
+
 def test_eval_fixtures():
     assert eval_cwexpr(parse_cwexpr("1(a)")).graph.n == 1
     k2 = eval_cwexpr(parse_cwexpr("eta(2,1; 2(b)+1(a))")).graph

@@ -33,6 +33,34 @@ def test_parse_errors():
             parse_name(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message, pos",
+    [
+        ("", "unexpected end of input", 0),
+        ("P5+", "unexpected end of input", 3),
+        ("co(P4", "unexpected end of input", 5),
+        ("2P1+#", "unexpected character", 4),
+        ("_P1", "unexpected character", 0),
+        ("P1 P2", "trailing input after graph name", 3),
+        ("co()", "expected a graph name", 3),
+        ("grid(x)", "expected int", 5),
+        ("Q7", "unknown graph name 'Q7'", 0),
+        ("wall(3,4)", "wrong number of arguments for wall", 0),
+    ],
+)
+def test_parse_error_messages_and_positions(bad, message, pos):
+    with pytest.raises(ParseError) as info:
+        parse_name(bad)
+    assert info.value.pos == pos
+    assert str(info.value) == f"{message} (at position {pos}: {bad[pos:pos + 12]!r})"
+
+
+@pytest.mark.parametrize("bad, pos", [("é", 0), ("P²", 1), ("co(Pé)", 4)])
+def test_non_ascii_characters_are_parse_errors(bad, pos):
+    with pytest.raises(ParseError, match="unexpected character") as info:
+        parse_name(bad)
+    assert info.value.pos == pos
+
 def test_realize_fixtures():
     assert is_isomorphic(graph_named("paw"), complement(graph_named("P1+P3")))
     assert is_isomorphic(graph_named("S_1_1_1"), graph_named("K1_3"))
