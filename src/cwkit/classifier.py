@@ -369,8 +369,9 @@ def _graph_swap(g: Graph) -> Optional[Graph]:
     return None
 
 
-def _graph_sides(g: Graph) -> tuple[int, int]:
-    return rule_sides(PAIR_RULES, pair_facts(g, complement(g)))
+def _graph_sides(g: Graph, co: Graph) -> tuple[int, int]:
+    """Rule sides of g, whose complement is co."""
+    return rule_sides(PAIR_RULES, pair_facts(g, co))
 
 
 def equivalence_class(h1: Graph, h2: Graph) -> list[tuple[Graph, Graph]]:
@@ -406,8 +407,11 @@ def _first_verdict(rules: tuple[Rule, ...], first: tuple[int, Graph, Graph]) -> 
 
 def classify_pair(h1: Graph, h2: Graph) -> Verdict:
     """Two forbidden induced subgraphs: Bounded, Unbounded, or Open; total."""
-    members = equivalence_class(h1, h2)
-    fired, first = fire(members, _graph_sides)
+    # The closure complements every member graph and a graph may sit in
+    # several member pairs: complements and rule sides are made once per call.
+    co = lru_cache(maxsize=None)(complement)
+    members = pair_class(h1, h2, lru_cache(maxsize=None)(_graph_key), co, _graph_swap)
+    fired, first = fire(members, lru_cache(maxsize=None)(lambda g: _graph_sides(g, co(g))))
     if fired & BOUNDED_BITS and fired & UNBOUNDED_BITS:
         raise InvariantViolation(
             f"rules {_fired_ids(PAIR_RULES, fired)} fire together on the class of "

@@ -16,117 +16,129 @@ Every k-label expression walks through such states with at most k classes,
 and conversely any such state walk can be labelled with at most k labels, so
 searching the state space decides clique-width exactly.
 
-Two sound reductions keep the space small: after every move all fully
-joinable class pairs are joined at once (building more true edges earlier
-only helps), and states violating a permanent-death condition are dropped
-(a missing edge inside one class, or two same-class vertices that disagree
-on a neighbour outside the settled part, can never be repaired).
+Three sound reductions keep the space small:
+
+* join folding: after every move all fully joinable class pairs that still
+  build a missing edge are joined at once (building more true edges earlier
+  only helps), so joins are never separate moves;
+* dead-state pruning: a state is dropped when it can never be completed,
+  that is when a class has a missing edge inside it, when two vertices of one
+  class disagree on a neighbour outside the settled part, or when a missing
+  edge u-x would need a join that also reaches a class-mate of u that is not
+  adjacent to x;
+* minimal union matchings: a union merges only as many class pairs as the
+  label budget forces, because a larger matching equals a minimal one
+  followed by renames, which the closure explores anyway.
+
+``tests/test_cwexact.py`` checks all three against an unpruned search.
+
+The search reads per-subset bitmask tables of the graph (``_Tables``), built
+once per connected component and shared by the searches at every label
+budget, so each test on a class is one or two ANDs.  ``cliquewidth`` starts
+at a lower bound instead of k = 1: one label for an edgeless graph, three
+when P4 is induced, two otherwise.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, product
 from typing import Optional
 
 from .errors import CapacityError, InputError, InvariantViolation
 from .graphs import Graph, _bits, induced_subgraph
 from .cwexpr import Create, CwExpr, Join, Rename, Union, eval_cwexpr, width
+from .patterns import has_induced
 
 __all__ = ["cliquewidth_at_most", "cliquewidth", "DEFAULT_CAP"]
 
 DEFAULT_CAP = 8
 
+_P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+class _Tables:
+    """Bitmask tables of one connected graph, indexed by vertex set S.
+
+    Pair bits number the vertex pairs u < v in row order.
+
+    * ``cn[S]``: vertices adjacent to every vertex of S;
+    * ``split[S]``: vertices adjacent to some but not every vertex of S; a
+      class S is dead once one of them lies outside the settled part;
+    * ``ein[S]``: pair bits of the target edges with both ends in S;
+    * ``bad[S]``: pair bits of the target edges from S to ``split[S]``.  If
+      S is a class and such an edge u-x is missing, building it needs a join
+      of x's class with S, which reaches a vertex of S that is not adjacent
+      to x (or x lies in S itself): the state is dead.
+    * ``by_size[s]``: the vertex sets of size s in increasing order.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        n = g.n
+        full = (1 << n) - 1
+        pid = {}
+        for u in range(n):
+            for v in range(u + 1, n):
+                pid[(u, v)] = len(pid)
+        size = full + 1
+        cn = [full] * size
+        split = [0] * size
+        ein = [0] * size
+        un = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            v = low.bit_length() - 1
+            rest = s ^ low
+            cn[s] = cn[rest] & g.adj[v]
+            un[s] = un[rest] | g.adj[v]
+            split[s] = un[s] & ~cn[s]
+            mask = ein[rest]
+            for w in _bits(g.adj[v] & rest):
+                mask |= 1 << pid[(v, w) if v < w else (w, v)]
+            ein[s] = mask
+        # An edge joins S to split[S] unless both its ends lie in S - split[S]
+        # or both in split[S] - S.
+        self.bad = [
+            ein[s | x] & ~(ein[s & ~x] | ein[x & ~s]) for s, x in enumerate(split)
+        ]
+        self.cn, self.split, self.ein = cn, split, ein
+        self.by_size: list[list[int]] = [[] for _ in range(n + 1)]
+        for s in range(1, size):
+            self.by_size[s.bit_count()].append(s)
+
 
 class _Search:
-    def __init__(self, g: Graph, k: int):
-        self.g = g
-        self.n = g.n
+    def __init__(self, tables: _Tables, k: int):
+        self.t = tables
+        self.g = tables.g
+        self.n = tables.g.n
         self.k = k
-        self.full = (1 << g.n) - 1
-        # pair-id layout for edge bitmasks
-        self.pid: dict[tuple[int, int], int] = {}
-        self.pairs: list[tuple[int, int]] = []
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                self.pid[(u, v)] = len(self.pairs)
-                self.pairs.append((u, v))
-        self.target = 0
-        for u, v in g.edges:
-            self.target |= 1 << self.pid[(u, v)]
-        self._edges_in: dict[int, int] = {}
+        self.full = (1 << self.n) - 1
         # reach[S]: state -> parent record
         self.reach: dict[int, dict[tuple, tuple]] = {}
         self.accept: Optional[tuple] = None
 
     # -- small helpers ---------------------------------------------------
 
-    def edges_inside(self, vset: int) -> int:
-        """Target-edge bits with both endpoints in vset."""
-        cached = self._edges_in.get(vset)
-        if cached is not None:
-            return cached
-        mask = 0
-        for p, (u, v) in enumerate(self.pairs):
-            if vset >> u & 1 and vset >> v & 1 and self.target >> p & 1:
-                mask |= 1 << p
-        self._edges_in[vset] = mask
-        return mask
-
-    def cross_pairs(self, a: int, b: int) -> int:
-        """All pair bits with one endpoint in class a, the other in class b."""
-        mask = 0
-        for u in _bits(a):
-            for v in _bits(b):
-                mask |= 1 << self.pid[(u, v) if u < v else (v, u)]
-        return mask
-
-    def joinable(self, a: int, b: int) -> bool:
-        adj = self.g.adj
-        return all(b & ~adj[u] == 0 for u in _bits(a))
-
     def normalize(self, classes: tuple[int, ...], missing: int):
         """Apply every legal full join that still builds something."""
+        cn, ein = self.t.cn, self.t.ein
         joins: list[tuple[int, int]] = []
         for a, b in combinations(classes, 2):
-            if not self.joinable(a, b):
-                continue
-            cross = self.cross_pairs(a, b)
+            if b & ~cn[a]:
+                continue  # some cross pair is a non-edge
+            cross = ein[a | b] & ~(ein[a] | ein[b])
             if cross & missing:
                 joins.append((a, b))
                 missing &= ~cross
         return missing, joins
 
-    def dead(self, classes: tuple[int, ...], missing: int, placed: int) -> bool:
-        g = self.g
-        outside = self.full & ~placed
-        for cls in classes:
-            members = _bits(cls)
-            if len(members) == 1:
-                continue
-            base = g.adj[members[0]] & outside
-            for u in members[1:]:
-                if g.adj[u] & outside != base:
-                    return True  # divergent futures outside the settled part
-            for u, v in combinations(members, 2):
-                key = (u, v) if u < v else (v, u)
-                if key in g.edges and missing >> self.pid[key] & 1:
-                    return True  # an edge inside one class can never be built
+    def stuck(self, classes: tuple[int, ...], missing: int) -> bool:
+        """A missing edge no future join can build (see ``_Tables.bad``)."""
         if missing:
-            # A missing edge u-x forces a future join of u's and x's classes;
-            # that join hits every same-class sibling of u, so each sibling
-            # must also be adjacent to x in the target.
-            cls_of = {}
-            for cls in classes:
-                for u in _bits(cls):
-                    cls_of[u] = cls
-            rem = missing
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                u, x = self.pairs[low.bit_length() - 1]
-                if cls_of[u] & ~self.g.adj[x] & ~(1 << u):
-                    return True
-                if cls_of[x] & ~self.g.adj[u] & ~(1 << x):
+            bad = self.t.bad
+            for c in classes:
+                if bad[c] & missing:
                     return True
         return False
 
@@ -134,9 +146,7 @@ class _Search:
 
     def run(self) -> bool:
         for size in range(1, self.n + 1):
-            for placed in range(1, self.full + 1):
-                if placed.bit_count() != size:
-                    continue
+            for placed in self.t.by_size[size]:
                 self._close_subset(placed)
                 if self.accept is not None:
                     return True
@@ -165,19 +175,25 @@ class _Search:
                     if part:
                         self._seed_unions(placed, sub, part, push)
                 sub = (sub - 1) & placed
-        # close under renames (joins are folded into normalize)
+        # close under renames (joins are folded into normalize); every state
+        # in the queue is alive, so only the merged class can newly split on
+        # an outside vertex or hold a missing edge
+        split, ein = self.t.split, self.t.ein
+        outside = self.full & ~placed
         while queue:
             classes, missing = queue.pop()
             if len(classes) < 2:
                 continue
             for i, j in combinations(range(len(classes)), 2):
                 merged = classes[i] | classes[j]
+                if split[merged] & outside or ein[merged] & missing:
+                    continue
                 rest = tuple(
                     c for t, c in enumerate(classes) if t != i and t != j
                 )
                 new_classes = tuple(sorted(rest + (merged,)))
                 m2, joins = self.normalize(new_classes, missing)
-                if self.dead(new_classes, m2, placed):
+                if self.stuck(new_classes, m2):
                     continue
                 push(
                     new_classes,
@@ -196,16 +212,22 @@ class _Search:
         r2 = self.reach.get(s2)
         if not r1 or not r2:
             return
-        cross = (
-            self.edges_inside(placed)
-            & ~self.edges_inside(s1)
-            & ~self.edges_inside(s2)
-        )
+        split, ein = self.t.split, self.t.ein
+        cross = ein[placed] & ~ein[s1] & ~ein[s2]
+        outside = self.full & ~placed
+
+        # An unmatched class of an alive operand stays alive; a matched pair
+        # a, b is dead at once if a vertex outside splits a | b or an edge
+        # joins a to b (it lies inside the merged class and is missing).
+        def fits(a: int, b: int) -> bool:
+            ab = a | b
+            return not (split[ab] & outside or ein[ab] & cross)
+
         for (c1, m1) in r1:
             for (c2, m2) in r2:
                 need = len(c1) + len(c2) - self.k
                 base_missing = m1 | m2 | cross
-                for match in self._matchings(c1, c2, max(0, need)):
+                for match in self._matchings(c1, c2, max(0, need), fits):
                     matched1 = {a for a, _ in match}
                     matched2 = {b for _, b in match}
                     classes = tuple(
@@ -216,7 +238,7 @@ class _Search:
                         )
                     )
                     missing, joins = self.normalize(classes, base_missing)
-                    if self.dead(classes, missing, placed):
+                    if self.stuck(classes, missing):
                         continue
                     push(
                         classes,
@@ -224,8 +246,9 @@ class _Search:
                         ("union", s1, (c1, m1), s2, (c2, m2), match, joins),
                     )
 
-    def _matchings(self, c1, c2, size: int):
-        """Injective class pairings of exactly the given size.
+    def _matchings(self, c1, c2, size: int, fits):
+        """Injective class pairings of exactly the given size whose pairs all
+        fit, in the order of ``combinations(c1)`` then ``permutations(c2)``.
 
         Larger matchings are redundant: they equal a minimal matching
         followed by renames, which the closure explores anyway.
@@ -236,8 +259,10 @@ class _Search:
         if size > len(c1) or size > len(c2):
             return
         for picks in combinations(c1, size):
-            for perm in permutations(c2, size):
-                yield tuple(zip(picks, perm))
+            partners = [[b for b in c2 if fits(a, b)] for a in picks]
+            for perm in product(*partners):
+                if len(set(perm)) == size:
+                    yield tuple(zip(picks, perm))
 
     # -- witness reconstruction -------------------------------------------
 
@@ -283,39 +308,39 @@ class _Search:
         return expr
 
 
-def _solve(g: Graph, k: int) -> Optional[CwExpr]:
-    """A k-label expression for g, or None.
+def _components(g: Graph) -> list[_Tables]:
+    """Tables for each connected component, ordered by least vertex; a
+    component's vertices keep their names from g."""
+    comps = g.component_masks()
+    if len(comps) == 1:
+        return [_Tables(g)]
+    parts = []
+    for mask in comps:
+        vertices = _bits(mask)
+        names = {i: g.name_of(v) for i, v in enumerate(vertices)}
+        sub = induced_subgraph(g, vertices)
+        parts.append(_Tables(Graph(sub.n, sub.edges, names)))
+    return parts
+
+
+def _solve(parts: list[_Tables], k: int) -> Optional[CwExpr]:
+    """A k-label expression for the graph with these components, or None.
 
     Components are solved independently: a build for a disjoint union is the
     union of component builds, and labels are reusable across union operands,
     so the label count needed is the maximum over components.
     """
-    comps = g.component_masks()
-    if len(comps) > 1:
-        parts = []
-        for mask in comps:
-            vertices = _bits(mask)
-            names = {i: g.name_of(v) for i, v in enumerate(vertices)}
-            sub = induced_subgraph(g, vertices)
-            sub = Graph(sub.n, sub.edges, names)
-            part = _solve(sub, k)
-            if part is None:
-                return None
-            parts.append(part)
-        expr = parts[0]
-        for part in parts[1:]:
-            expr = Union(expr, part)
-        return expr
-    search = _Search(g, k)
-    if not search.run():
-        return None
-    return search.witness()
+    expr: Optional[CwExpr] = None
+    for tables in parts:
+        search = _Search(tables, k)
+        if not search.run():
+            return None
+        part = search.witness()
+        expr = part if expr is None else Union(expr, part)
+    return expr
 
 
-def cliquewidth_at_most(
-    g: Graph, k: int, max_vertices: int = DEFAULT_CAP
-) -> tuple[bool, Optional[CwExpr]]:
-    """Decide whether some k-label expression builds g; return a witness if so."""
+def _check_input(g: Graph, k: int, max_vertices: int) -> None:
     if g.n > max_vertices:
         raise CapacityError(
             f"exact clique-width is capped at {max_vertices} vertices, got {g.n}; "
@@ -325,9 +350,13 @@ def cliquewidth_at_most(
         raise InputError("the label budget must be at least 1")
     if g.n == 0:
         raise InputError("the empty graph has no build expression")
-    expr = _solve(g, k)
+
+
+def _verified(g: Graph, k: int, parts: list[_Tables]) -> Optional[CwExpr]:
+    """_solve's expression, checked to rebuild g with at most k labels."""
+    expr = _solve(parts, k)
     if expr is None:
-        return False, None
+        return None
     lab = eval_cwexpr(expr)
     ok = (
         lab.graph.n == g.n
@@ -337,14 +366,31 @@ def cliquewidth_at_most(
     )
     if not ok:
         raise InvariantViolation("reconstructed expression does not rebuild the target graph")
-    return True, expr
+    return expr
+
+
+def cliquewidth_at_most(
+    g: Graph, k: int, max_vertices: int = DEFAULT_CAP
+) -> tuple[bool, Optional[CwExpr]]:
+    """Decide whether some k-label expression builds g; return a witness if so."""
+    _check_input(g, k, max_vertices)
+    expr = _verified(g, k, _components(g))
+    return expr is not None, expr
+
+
+def _lower_bound(g: Graph) -> int:
+    """One label for no edges; cographs (no induced P4) need two; else three."""
+    if not g.edges:
+        return 1
+    return 3 if has_induced(g, _P4) else 2
 
 
 def cliquewidth(g: Graph, max_vertices: int = DEFAULT_CAP) -> tuple[int, CwExpr]:
     """The exact clique-width of g with a witness expression."""
-    for k in range(1, max(g.n, 1) + 1):
-        ok, expr = cliquewidth_at_most(g, k, max_vertices=max_vertices)
-        if ok:
-            assert expr is not None
+    _check_input(g, 1, max_vertices)
+    parts = _components(g)
+    for k in range(_lower_bound(g), g.n + 1):
+        expr = _verified(g, k, parts)
+        if expr is not None:
             return k, expr
     raise InputError("unreachable: every graph on n vertices has an n-label build")

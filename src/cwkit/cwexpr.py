@@ -13,7 +13,7 @@ Expression files are UTF-8 text in this grammar, one expression per file;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import InputError, ParseError, _Tokens
@@ -34,8 +34,62 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Create:
+class _Term:
+    """Structural ``==``, ``hash`` and ``repr`` for the term classes, with
+    the meaning of the dataclass-generated ones (same node types, same
+    labels, same vertex names) but walked with explicit stacks, so terms of
+    any depth compare, hash and print without recursion."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if not isinstance(a, _Term):
+                if a != b:
+                    return False
+            elif a.__class__ is not b.__class__:
+                return False
+            else:
+                stack.extend(zip(a._fields(), b._fields()))
+        return True
+
+    def __hash__(self) -> int:
+        done: dict[int, int] = {}
+        for e in _postorder(self):
+            parts = (done[id(v)] if isinstance(v, _Term) else v for v in e._fields())
+            done[id(e)] = hash((e.__class__.__name__, *parts))
+        return done[id(self)]
+
+    def __repr__(self) -> str:
+        # Strings on the stack are finished text; terms are still to print.
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts: list = [f"{item.__class__.__qualname__}("]
+            for t, f in enumerate(fields(item)):
+                value = getattr(item, f.name)
+                parts.append(f"{', ' if t else ''}{f.name}=")
+                parts.append(value if isinstance(value, _Term) else repr(value))
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Create(_Term):
     label: int
     vertex: str
 
@@ -46,14 +100,14 @@ class Create:
             raise InputError("vertex names must be non-empty")
 
 
-@dataclass(frozen=True)
-class Union:
+@dataclass(frozen=True, eq=False, repr=False)
+class Union(_Term):
     left: "CwExpr"
     right: "CwExpr"
 
 
-@dataclass(frozen=True)
-class Join:
+@dataclass(frozen=True, eq=False, repr=False)
+class Join(_Term):
     i: int
     j: int
     sub: "CwExpr"
@@ -65,8 +119,8 @@ class Join:
             raise InputError(f"eta({self.i},{self.j}): join labels must differ")
 
 
-@dataclass(frozen=True)
-class Rename:
+@dataclass(frozen=True, eq=False, repr=False)
+class Rename(_Term):
     i: int
     j: int
     sub: "CwExpr"

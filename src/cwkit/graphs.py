@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .errors import InputError, ParseError
+from .errors import CapacityError, InputError, ParseError
 
 __all__ = [
     "Graph",
@@ -458,6 +458,11 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The largest vertex count an edge-list header may declare: the graph's
+# adjacency list is allocated from the header before any edge is read.
+EDGE_LIST_CAP = 100_000
+
+
 def from_edge_list(text: str) -> Graph:
     rows = [ln for ln in (line.strip() for line in text.splitlines()) if ln and not ln.startswith("#")]
     if not rows:
@@ -469,6 +474,8 @@ def from_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError(f"edge-list header must be two integers, got {rows[0]!r}") from None
+    if n > EDGE_LIST_CAP:
+        raise CapacityError(f"edge lists support at most {EDGE_LIST_CAP} vertices, the header declares {n}")
     if len(rows) - 1 != m:
         raise ParseError(f"edge-list declares {m} edges but has {len(rows) - 1} edge lines")
     edges = []

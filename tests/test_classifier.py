@@ -195,7 +195,7 @@ def test_conflict_errors_list_every_fired_rule(monkeypatch):
 
     every = (1 << 64) - 1
     k3, p4 = graph_named("K3"), graph_named("P4")
-    monkeypatch.setattr(classifier, "_graph_sides", lambda g: (every, every))
+    monkeypatch.setattr(classifier, "_graph_sides", lambda g, co: (every, every))
     ids = ", ".join(rule.rule_id for rule in classifier.PAIR_RULES)
     with pytest.raises(InvariantViolation) as info:
         classify_pair(k3, p4)

@@ -170,3 +170,30 @@ def test_flat_union_of_thousands_evaluates(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout.splitlines()[:2] == ["width=1", "n=3000 m=0"]
+
+
+def test_huge_declared_vertex_count_is_a_capacity_error(tmp_path):
+    # The header alone would make the graph allocate one int per declared
+    # vertex (about 8 GB on 64-bit CPython); the run is held to 1 GiB of address
+    # space so that a missing cap fails the test instead of the machine.
+    import resource
+
+    f = tmp_path / "huge.edges"
+    f.write_text("1000000000 0\n")
+    src = os.path.dirname(os.path.dirname(cwkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "cwkit", "cw", "exact", str(f)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "at most 100000 vertices" in proc.stderr

@@ -1,9 +1,11 @@
+import hashlib
 import random
+from itertools import combinations, permutations
 
 import pytest
 
 from cwkit.cwexact import cliquewidth, cliquewidth_at_most
-from cwkit.cwexpr import eval_cwexpr, width
+from cwkit.cwexpr import eval_cwexpr, format_cwexpr, width
 from cwkit.enumeration import nonisomorphic_graphs_upto
 from cwkit.errors import CapacityError, InputError
 from cwkit.graphs import Graph, complement
@@ -166,3 +168,85 @@ def test_capacity_and_input_guards():
         cliquewidth(Graph(0))
     with pytest.raises(InputError):
         cliquewidth_at_most(graph_named("P4"), 0)
+
+
+def test_witnesses_golden_up_to_six_vertices():
+    # recorded before the search moved onto per-subset tables: any change to
+    # the states explored, or to the order they are pushed in, changes some
+    # witness
+    lines = []
+    for g in nonisomorphic_graphs_upto(6):
+        k, expr = cliquewidth(g)
+        lines.append(f"{k} {format_cwexpr(expr)}")
+    assert len(lines) == 208
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5adc24cc08a3467ab85d2fc06dedd8fb891f15d321fd7ef5263b693d0e97c494"
+
+
+def _reference_at_most(g: Graph, k: int) -> bool:
+    """Unpruned search for a k-label build of g: joins are separate moves,
+    no state is ever dropped, a union may match any number of class pairs,
+    and the graph is not split into components.  A state is a sorted tuple
+    of classes (vertex bitmasks) and the bitmask of pairs built so far."""
+    bit = {}
+    for p, (u, v) in enumerate(combinations(range(g.n), 2)):
+        bit[u, v] = bit[v, u] = 1 << p
+    target = 0
+    for u, v in g.edges:
+        target |= bit[u, v]
+
+    def cross(a: int, b: int) -> int:
+        return sum(bit[u, v] for u in range(g.n) if a >> u & 1 for v in range(g.n) if b >> v & 1)
+
+    full = (1 << g.n) - 1
+    reach: dict[int, set] = {}
+    for placed in sorted(range(1, full + 1), key=int.bit_count):
+        states = set()
+        if placed.bit_count() == 1:
+            states.add(((placed,), 0))
+        low = placed & -placed
+        s1 = placed
+        while s1 := (s1 - 1) & placed:
+            if not s1 & low:
+                continue
+            for c1, e1 in reach[s1]:
+                for c2, e2 in reach[placed ^ s1]:
+                    for size in range(max(0, len(c1) + len(c2) - k), min(len(c1), len(c2)) + 1):
+                        for picks in combinations(c1, size):
+                            for perm in permutations(c2, size):
+                                classes = [a | b for a, b in zip(picks, perm)]
+                                classes += [c for c in c1 if c not in picks]
+                                classes += [c for c in c2 if c not in perm]
+                                states.add((tuple(sorted(classes)), e1 | e2))
+        queue = list(states)
+        while queue:
+            classes, built = queue.pop()
+            for i, j in combinations(range(len(classes)), 2):
+                a, b = classes[i], classes[j]
+                rest = [c for t, c in enumerate(classes) if t != i and t != j]
+                moves = [(tuple(sorted(rest + [a | b])), built)]  # rename
+                if cross(a, b) & ~target == 0:  # join, legal if it adds only edges
+                    moves.append((classes, built | cross(a, b)))
+                for state in moves:
+                    if state not in states:
+                        states.add(state)
+                        queue.append(state)
+        reach[placed] = states
+    return any(built == target for _, built in reach[full])
+
+
+def _reference_width(g: Graph) -> int:
+    k = 1
+    while not _reference_at_most(g, k):
+        k += 1
+    return k
+
+
+def test_oracle_agrees_with_unpruned_reference():
+    # every graph up to five vertices; at six vertices the reference takes
+    # about 50 s for all 156 graphs, so only the one graph of width 4 (the
+    # prism) and two of width 3
+    graphs = nonisomorphic_graphs_upto(5)
+    graphs += [graph_named(name) for name in ("co(C6)", "C6", "P6")]
+    for g in graphs:
+        assert _reference_width(g) == cliquewidth(g)[0], g

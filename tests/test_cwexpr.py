@@ -143,3 +143,31 @@ def test_file_parsing_with_comments():
     text = "# a path build\n" + PATH4_EXPR[:20] + "\n" + PATH4_EXPR[20:] + "\n# trailing note\n"
     e = parse_cwexpr_file(text)
     assert is_isomorphic(eval_cwexpr(e).graph, graph_named("P4"))
+
+
+def test_terms_compare_hash_and_print_like_dataclasses():
+    e = parse_cwexpr("eta(1,2; rho(3->2; 1(a) + 3(b)) + 2(c))")
+    # the dataclass-generated repr, recorded before the terms got their own
+    assert repr(e) == (
+        "Join(i=1, j=2, sub=Union(left=Rename(i=3, j=2, sub=Union("
+        "left=Create(label=1, vertex='a'), right=Create(label=3, vertex='b'))), "
+        "right=Create(label=2, vertex='c')))"
+    )
+    same = parse_cwexpr("eta(1,2; rho(3->2; 1(a) + 3(b)) + 2(c))")
+    assert e == same and hash(e) == hash(same)
+    assert e != parse_cwexpr("eta(1,2; rho(3->2; 1(a) + 3(b)) + 2(d))")
+    assert e != parse_cwexpr("eta(2,1; rho(3->2; 1(a) + 3(b)) + 2(c))")
+    assert Join(1, 2, Create(1, "a")) != Rename(1, 2, Create(1, "a"))
+    assert Create(1, "a") != (1, "a")
+    assert len({e, same, Create(1, "a")}) == 2
+
+
+def test_deep_terms_compare_hash_and_print():
+    # a flat union parses to a left-deep chain as deep as it is long
+    text = " + ".join(f"1(v{i})" for i in range(3000))
+    a, b = parse_cwexpr(text), parse_cwexpr(text)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert repr(a).startswith("Union(left=Union(left=")
+    assert a != parse_cwexpr(text.replace("1(v2999)", "2(v2999)"))
