@@ -4,12 +4,15 @@ expression DSL, and an exact clique-width oracle for tiny graphs."""
 
 from .graphs import (
     Graph,
-    BasicQueries,
-    basic_queries,
     complement,
     disjoint_union,
     induced_subgraph,
-    transform,
+    delete_vertex,
+    subdivide_edge,
+    contract_edge,
+    dissolve_vertex,
+    complement_subgraph,
+    complement_bipartite,
     from_graph6,
     to_graph6,
     from_edge_list,
@@ -24,7 +27,6 @@ from .patterns import (
     in_class_S,
     shape_tests,
     is_planar,
-    cycle_and_path_probes,
 )
 from .names import parse_name, realize, recognize, format_name, graph_named
 from .cwexpr import parse_cwexpr, eval_cwexpr, width, format_cwexpr

@@ -12,7 +12,7 @@ Partition file format: a header line "n m", then one line per nonempty cell,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import HypothesisError, InputError, ParseError
@@ -65,7 +65,6 @@ class PropertyCheck:
 class CertificateReport:
     property_status: tuple[PropertyCheck, ...]
     bound: Optional[int]
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def all_hold(self) -> bool:
@@ -105,24 +104,13 @@ def _connected_in(g: Graph, vertices: frozenset[int]) -> bool:
     return induced_subgraph(g, vertices).is_connected()
 
 
-def check_certificate(
-    g: Graph, p: LayeredPartition, allow_nonempty_corner: bool = False
-) -> CertificateReport:
+def check_certificate(g: Graph, p: LayeredPartition) -> CertificateReport:
     """Check the eight certificate properties of (g, p) and emit the bound."""
     _validate_partition(g, p)
     if p.n <= p.m + 1:
         raise HypothesisError(f"need n > m+1, got n={p.n}, m={p.m}")
-    notes: list[str] = []
     if p.cell(0, 0):
-        if not allow_nonempty_corner:
-            raise InputError(
-                "cell (0,0) is nonempty; the certificate argument never inspects it, "
-                "so the checker rejects it by default (allow_nonempty_corner overrides)"
-            )
-        notes.append(
-            "cell (0,0) is nonempty: accepted by override; the bound's validity "
-            "for this generalization is unverified"
-        )
+        raise InputError("cell (0,0) is nonempty; the certificate argument never inspects it")
 
     checks: list[PropertyCheck] = []
 
@@ -209,7 +197,7 @@ def check_certificate(
     add(8, "interior adjacency moves at most m rows and m columns", w)
 
     bound = lower_bound(p.n, p.m) if all(c.holds for c in checks) else None
-    return CertificateReport(tuple(checks), bound, tuple(notes))
+    return CertificateReport(tuple(checks), bound)
 
 
 # -- partition files -----------------------------------------------------

@@ -97,8 +97,7 @@ def _cmd_witness(args) -> int:
         raise InputError(
             f"family {family.family_id} takes {family.arity} parameter(s), got {len(params)}"
         )
-    built = family.build(*params)
-    graph, partition = built if isinstance(built, tuple) else (built, None)
+    graph, partition = family.build(*params)
     print(f"family={family.family_id} params={','.join(map(str, params))} "
           f"n={graph.n} m={len(graph.edges)}")
     if args.verify_free:

@@ -34,7 +34,9 @@ Three sound reductions keep the space small:
 
 The search reads per-subset bitmask tables of the graph (``_Tables``), built
 once per connected component and shared by the searches at every label
-budget, so each test on a class is one or two ANDs.  ``cliquewidth`` starts
+budget, so each test on a class is one or two ANDs.  A component with more
+than ``TABLE_CAP`` vertices is refused with ``CapacityError`` before its
+tables are allocated, whatever ``max_vertices`` allows.  ``cliquewidth`` starts
 at a lower bound instead of k = 1: one label for an edgeless graph, three
 when P4 is induced, two otherwise.
 """
@@ -49,9 +51,12 @@ from .graphs import Graph, _bits, induced_subgraph
 from .cwexpr import Create, CwExpr, Join, Rename, Union, eval_cwexpr, width
 from .patterns import has_induced
 
-__all__ = ["cliquewidth_at_most", "cliquewidth", "DEFAULT_CAP"]
+__all__ = ["cliquewidth_at_most", "cliquewidth", "DEFAULT_CAP", "TABLE_CAP"]
 
 DEFAULT_CAP = 8
+# The most vertices one component may have: its tables hold 2**n entries
+# each.  Unlike DEFAULT_CAP, no argument lifts it.
+TABLE_CAP = 16
 
 _P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -312,6 +317,11 @@ def _components(g: Graph) -> list[_Tables]:
     """Tables for each connected component, ordered by least vertex; a
     component's vertices keep their names from g."""
     comps = g.component_masks()
+    largest = max((c.bit_count() for c in comps), default=0)
+    if largest > TABLE_CAP:
+        raise CapacityError(
+            f"exact clique-width tables support components of at most {TABLE_CAP} vertices, got {largest}"
+        )
     if len(comps) == 1:
         return [_Tables(g)]
     parts = []

@@ -8,25 +8,22 @@ every operation returns a fresh graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import CapacityError, InputError, ParseError
 
 __all__ = [
     "Graph",
-    "BasicQueries",
-    "basic_queries",
     "complement",
     "disjoint_union",
     "induced_subgraph",
-    "DeleteVertex",
-    "SubdivideEdge",
-    "ContractEdge",
-    "DissolveVertex",
-    "ComplementSubgraph",
-    "ComplementBipartite",
-    "transform",
+    "delete_vertex",
+    "subdivide_edge",
+    "contract_edge",
+    "dissolve_vertex",
+    "complement_subgraph",
+    "complement_bipartite",
+    "check_size",
     "to_graph6",
     "from_graph6",
     "to_edge_list",
@@ -103,9 +100,6 @@ class Graph:
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(m.bit_count() for m in self.adj))
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def name_of(self, v: int) -> str:
         if self.names and v in self.names:
             return self.names[v]
@@ -173,25 +167,20 @@ def _check_vertex(g: Graph, v: int) -> None:
         raise InputError(f"vertex {v} outside 0..{g.n - 1}")
 
 
-@dataclass(frozen=True)
-class BasicQueries:
-    max_degree: int
-    degrees: tuple[int, ...]
-    is_connected: bool
-    components: tuple[tuple[int, ...], ...]
-    bipartition: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
+# Fixed ceilings on every graph read from an edge list, generated by a family
+# or realised from a name.  Callers pass the graph's closed-form size before
+# any list is built, so a huge parameter is refused instead of exhausting
+# memory; no flag lifts them.
+EDGE_LIST_CAP = 100_000
+EDGE_CAP = 1_000_000
 
 
-def basic_queries(g: Graph) -> BasicQueries:
-    """One-shot summary of the standard structural queries."""
-    two = g.bipartition()
-    return BasicQueries(
-        max_degree=g.max_degree(),
-        degrees=tuple(g.degree(v) for v in range(g.n)),
-        is_connected=g.is_connected(),
-        components=tuple(tuple(c) for c in g.components()),
-        bipartition=None if two is None else (tuple(two[0]), tuple(two[1])),
-    )
+def check_size(n: int, m: int, what: str) -> None:
+    """Raise CapacityError unless a graph with n vertices and m edges fits."""
+    if n > EDGE_LIST_CAP:
+        raise CapacityError(f"{what} has {n} vertices; graphs support at most {EDGE_LIST_CAP} vertices")
+    if m > EDGE_CAP:
+        raise CapacityError(f"{what} has {m} edges; graphs support at most {EDGE_CAP} edges")
 
 
 # -- elementary operations ---------------------------------------------
@@ -230,56 +219,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 
 # -- local edit operations ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeleteVertex:
-    v: int
-
-
-@dataclass(frozen=True)
-class SubdivideEdge:
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class ContractEdge:
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class DissolveVertex:
-    v: int
-
-
-@dataclass(frozen=True)
-class ComplementSubgraph:
-    vertices: frozenset[int]
-
-    def __init__(self, vertices: Iterable[int]):
-        object.__setattr__(self, "vertices", frozenset(vertices))
-
-
-@dataclass(frozen=True)
-class ComplementBipartite:
-    x: frozenset[int]
-    y: frozenset[int]
-
-    def __init__(self, x: Iterable[int], y: Iterable[int]):
-        object.__setattr__(self, "x", frozenset(x))
-        object.__setattr__(self, "y", frozenset(y))
-
-
-Edit = (
-    DeleteVertex
-    | SubdivideEdge
-    | ContractEdge
-    | DissolveVertex
-    | ComplementSubgraph
-    | ComplementBipartite
-)
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -368,24 +307,6 @@ def complement_bipartite(g: Graph, x: Iterable[int], y: Iterable[int]) -> Graph:
     return Graph(g.n, edges, g.names)
 
 
-def transform(g: Graph, edit: Edit) -> Graph:
-    """Apply one local edit operation, checking its precondition."""
-    match edit:
-        case DeleteVertex(v):
-            return delete_vertex(g, v)
-        case SubdivideEdge(u, v):
-            return subdivide_edge(g, u, v)
-        case ContractEdge(u, v):
-            return contract_edge(g, u, v)
-        case DissolveVertex(v):
-            return dissolve_vertex(g, v)
-        case ComplementSubgraph(vertices):
-            return complement_subgraph(g, vertices)
-        case ComplementBipartite(x, y):
-            return complement_bipartite(g, x, y)
-    raise InputError(f"unknown edit {edit!r}")
-
-
 # -- graph6 ------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
@@ -458,11 +379,6 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The largest vertex count an edge-list header may declare: the graph's
-# adjacency list is allocated from the header before any edge is read.
-EDGE_LIST_CAP = 100_000
-
-
 def from_edge_list(text: str) -> Graph:
     rows = [ln for ln in (line.strip() for line in text.splitlines()) if ln and not ln.startswith("#")]
     if not rows:
@@ -474,8 +390,7 @@ def from_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError(f"edge-list header must be two integers, got {rows[0]!r}") from None
-    if n > EDGE_LIST_CAP:
-        raise CapacityError(f"edge lists support at most {EDGE_LIST_CAP} vertices, the header declares {n}")
+    check_size(n, m, "the edge list")
     if len(rows) - 1 != m:
         raise ParseError(f"edge-list declares {m} edges but has {len(rows) - 1} edge lines")
     edges = []

@@ -121,10 +121,6 @@ def canonical_key_adj(adj: tuple[int, ...], n: int) -> tuple:
     return (n, tuple(best))
 
 
-def _invariants(g: Graph) -> tuple:
-    return (g.n, len(g.edges), tuple(sorted(refine_colours(g.adj, g.n))))
-
-
 def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:
     """An adjacency-preserving bijection g -> h, or None."""
     if g.n != h.n or len(g.edges) != len(h.edges):

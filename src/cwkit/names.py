@@ -10,7 +10,9 @@ subscripts, an integer prefix repeats a summand.  Grammar::
           | 'paw' | 'diamond' | 'claw' | 'bull' | 'hammer' | 'gem'
 
 Whitespace is ignored.  The grammar is the stable public surface.  Nesting of
-``co(...)`` deeper than ``NESTING_CAP`` is a parse error.
+``co(...)`` deeper than ``NESTING_CAP`` is a parse error.  ``realize`` checks
+the named graph's closed-form size against the ceilings in ``graphs`` before
+building anything.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import InputError, ParseError, _Tokens
-from .graphs import Graph, complement, disjoint_union, induced_subgraph
+from .graphs import Graph, check_size, complement, disjoint_union, induced_subgraph
+from .witnesses import _wall_size, grid, subdivided_wall, wall
 
 __all__ = [
     "Path",
@@ -253,6 +256,48 @@ def _path_graph(r: int) -> Graph:
 
 def realize(expr: NameExpr) -> Graph:
     """The graph a name denotes, with deterministic vertex numbering."""
+    check_size(*_size(expr), format_name(expr))
+    return _build(expr)
+
+
+def _size(expr: NameExpr) -> tuple[int, int]:
+    """The vertex and edge counts of the graph a name denotes, unbuilt."""
+    match expr:
+        case Path(r):
+            return r, r - 1
+        case Cycle(r):
+            return r, r
+        case Complete(r):
+            return r, r * (r - 1) // 2
+        case Star(r):
+            return r + 1, r
+        case SubdividedClaw(i, j, k):
+            return i + j + k + 1, i + j + k
+        case Named(name):
+            return _named_size(name)
+        case Complement(inner):
+            n, m = _size(inner)
+            return n, n * (n - 1) // 2 - m
+        case Sum(parts):
+            sizes = [(mult, _size(sub)) for mult, sub in parts]
+            return sum(mult * n for mult, (n, _) in sizes), sum(mult * m for mult, (_, m) in sizes)
+        case Wall(h):
+            return _wall_size(h)
+        case SubdividedWall(h, k):
+            n, m = _wall_size(h)
+            return n + k * m, (k + 1) * m
+        case Grid(n):
+            return n * n, 2 * n * (n - 1)
+    raise InputError(f"cannot realize {expr!r}")
+
+
+@lru_cache(maxsize=None)
+def _named_size(name: str) -> tuple[int, int]:
+    g = _build(Named(name))
+    return g.n, len(g.edges)
+
+
+def _build(expr: NameExpr) -> Graph:
     match expr:
         case Path(r):
             return _path_graph(r)
@@ -273,37 +318,31 @@ def realize(expr: NameExpr) -> Graph:
                     v += 1
             return Graph(v, edges)
         case Named("paw"):
-            return complement(realize(parse_name("P1+P3")))
+            return complement(_build(parse_name("P1+P3")))
         case Named("diamond"):
-            return complement(realize(parse_name("2P1+P2")))
+            return complement(_build(parse_name("2P1+P2")))
         case Named("gem"):
-            return complement(realize(parse_name("P1+P4")))
+            return complement(_build(parse_name("P1+P4")))
         case Named("claw"):
-            return realize(Star(3))
+            return _build(Star(3))
         case Named("bull"):
             return Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4)])
         case Named("hammer"):
             return Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
         case Complement(inner):
-            return complement(realize(inner))
+            return complement(_build(inner))
         case Sum(parts):
             out = Graph(0)
             for mult, sub in parts:
-                piece = realize(sub)
+                piece = _build(sub)
                 for _ in range(mult):
                     out = disjoint_union(out, piece)
             return out
         case Wall(h):
-            from .witnesses import wall
-
             return wall(h)
         case SubdividedWall(h, k):
-            from .witnesses import subdivided_wall
-
             return subdivided_wall(h, k)
         case Grid(n):
-            from .witnesses import grid
-
             return grid(n)[0]
     raise InputError(f"cannot realize {expr!r}")
 

@@ -38,8 +38,6 @@ __all__ = [
     "has_triangle",
     "has_induced_cycle_at_least",
     "longest_induced_path",
-    "CyclePathReport",
-    "cycle_and_path_probes",
 ]
 
 PROBE_CAP = 16
@@ -264,9 +262,7 @@ def in_class_S(g: Graph) -> bool:
 @dataclass(frozen=True)
 class ShapeReport:
     is_edgeless: bool
-    edgeless_size: Optional[int]
     is_complete: bool
-    complete_size: Optional[int]
     is_linear_forest: bool
     is_forest: bool
     is_complete_multipartite: bool
@@ -286,9 +282,7 @@ def shape_tests(g: Graph) -> ShapeReport:
     )
     return ShapeReport(
         is_edgeless=edgeless,
-        edgeless_size=g.n if edgeless else None,
         is_complete=comp,
-        complete_size=g.n if comp else None,
         is_linear_forest=linear,
         is_forest=forest,
         is_complete_multipartite=cm,
@@ -431,18 +425,3 @@ def longest_induced_path(g: Graph, max_vertices: Optional[int] = None) -> int:
     for s in range(g.n):
         rec(1 << s, s, 1)
     return best
-
-
-@dataclass(frozen=True)
-class CyclePathReport:
-    has_triangle: bool
-    has_induced_cycle_at_least: bool
-    longest_induced_path_length: int
-
-
-def cycle_and_path_probes(g: Graph, min_cycle: int = 4, max_vertices: Optional[int] = None) -> CyclePathReport:
-    return CyclePathReport(
-        has_triangle=has_triangle(g),
-        has_induced_cycle_at_least=has_induced_cycle_at_least(g, min_cycle, max_vertices),
-        longest_induced_path_length=longest_induced_path(g, max_vertices),
-    )

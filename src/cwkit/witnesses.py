@@ -16,16 +16,21 @@ Families:
   yields the (P6, co(2P1+P2))-free member.
 * ``two_clique_grid(n)``: two cliques plus an independent n-by-n cell array
   with staircase adjacencies; (3P2, P2+P4, P6, co(P1+P4))-free.
+
+Both staircase families are built by one helper, ``_staircase``.  Every
+generator checks the closed-form size of its graph against the ceilings in
+``graphs`` before building anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import combinations
+from typing import Callable
 
 from .certificate import LayeredPartition
 from .errors import InputError
-from .graphs import Graph, complement_bipartite
+from .graphs import Graph, check_size, complement_bipartite
 
 __all__ = [
     "wall",
@@ -49,6 +54,7 @@ def wall(h: int) -> Graph:
     """
     if h < 2:
         raise InputError(f"wall height must be at least 2, got {h}")
+    check_size(*_wall_size(h), f"wall({h})")
     width = 2 * h + 2
     drop = {(0, 0), (0, h) if h % 2 else (width - 1, h)}
     coords = [
@@ -65,10 +71,17 @@ def wall(h: int) -> Graph:
     return Graph(len(coords), edges, names)
 
 
+def _wall_size(h: int) -> tuple[int, int]:
+    """(vertices, edges) of wall(h)."""
+    return 2 * (h + 1) ** 2 - 2, (h + 1) * (3 * h + 1) - 2
+
+
 def subdivided_wall(h: int, k: int) -> Graph:
     """wall(h) with every edge subdivided exactly k times."""
     if k < 0:
         raise InputError(f"subdivision count must be non-negative, got {k}")
+    n, m = _wall_size(h)
+    check_size(n + k * m, (k + 1) * m, f"swall({h},{k})")
     base = wall(h)
     if k == 0:
         return base
@@ -90,6 +103,7 @@ def grid(n: int) -> tuple[Graph, LayeredPartition]:
     """The n-by-n grid graph with its singleton-cell partition (m = 1)."""
     if n < 3:
         raise InputError(f"grid side must be at least 3, got {n}")
+    check_size(n * n, 2 * n * (n - 1), f"grid({n})")
     index = {(i, j): (i - 1) * n + (j - 1) for i in range(1, n + 1) for j in range(1, n + 1)}
     edges = []
     for (i, j), v in index.items():
@@ -103,6 +117,35 @@ def grid(n: int) -> tuple[Graph, LayeredPartition]:
     return g, LayeredPartition(n, 1, cells)
 
 
+def _staircase(n: int, cell: str, cliques: bool = False) -> tuple[Graph, LayeredPartition]:
+    """Border vertices b_1..b_n, w_1..w_n and an n-by-n array of cells.
+
+    Cell (i,j) is a path on one vertex per letter of ``cell``, named
+    ``<letter>_{i,j}``; b_k sees the cell's last vertex for k >= i and w_k
+    its first vertex for k >= j.  With ``cliques`` the b's and the w's each
+    form a clique.  Vertices are numbered b's, w's, then the cells row by
+    row; the partition has offset m = 0.
+    """
+    if n < 2:
+        raise InputError(f"family parameter must be at least 2, got {n}")
+    edge_count = n * n * (n + len(cell)) + (n * (n - 1) if cliques else 0)
+    check_size(2 * n + len(cell) * n * n, edge_count, f"the layered graph with parameter {n}")
+    b, w = list(range(n)), list(range(n, 2 * n))
+    names = {v: f"b_{k}" for k, v in enumerate(b, 1)} | {v: f"w_{k}" for k, v in enumerate(w, 1)}
+    cells = {(k, 0): frozenset({v}) for k, v in enumerate(b, 1)}
+    cells |= {(0, k): frozenset({v}) for k, v in enumerate(w, 1)}
+    edges = [e for side in (b, w) for e in combinations(side, 2)] if cliques else []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            vs = list(range(len(names), len(names) + len(cell)))
+            names |= {v: f"{letter}_{{{i},{j}}}" for v, letter in zip(vs, cell)}
+            edges += zip(vs, vs[1:])
+            edges += [(u, vs[-1]) for u in b[i - 1 :]]
+            edges += [(u, vs[0]) for u in w[j - 1 :]]
+            cells[(i, j)] = frozenset(vs)
+    return Graph(len(names), edges, names), LayeredPartition(n, 0, cells)
+
+
 def p6_diamond_base(n: int) -> tuple[Graph, LayeredPartition]:
     """The layered triple-cell construction with clique-width at least n.
 
@@ -110,44 +153,7 @@ def p6_diamond_base(n: int) -> tuple[Graph, LayeredPartition]:
     path b_{i,j} - r_{i,j} - w_{i,j}; b_k sees w_{i,j} for i <= k and w_k
     sees b_{i,j} for j <= k.  The partition uses offset m = 0.
     """
-    if n < 2:
-        raise InputError(f"family parameter must be at least 2, got {n}")
-    names: dict[int, str] = {}
-    b = {}
-    w = {}
-    for i in range(1, n + 1):
-        b[i] = len(names)
-        names[b[i]] = f"b_{i}"
-    for j in range(1, n + 1):
-        w[j] = len(names)
-        names[w[j]] = f"w_{j}"
-    cb, cr, cw = {}, {}, {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cb[(i, j)] = len(names)
-            names[cb[(i, j)]] = f"b_{{{i},{j}}}"
-            cr[(i, j)] = len(names)
-            names[cr[(i, j)]] = f"r_{{{i},{j}}}"
-            cw[(i, j)] = len(names)
-            names[cw[(i, j)]] = f"w_{{{i},{j}}}"
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            edges.append((cb[(i, j)], cr[(i, j)]))
-            edges.append((cr[(i, j)], cw[(i, j)]))
-            for k in range(i, n + 1):
-                edges.append((b[k], cw[(i, j)]))
-            for k in range(j, n + 1):
-                edges.append((w[k], cb[(i, j)]))
-    g = Graph(len(names), edges, names)
-    cells = {(i, 0): frozenset({b[i]}) for i in range(1, n + 1)}
-    cells |= {(0, j): frozenset({w[j]}) for j in range(1, n + 1)}
-    cells |= {
-        (i, j): frozenset({cb[(i, j)], cr[(i, j)], cw[(i, j)]})
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    }
-    return g, LayeredPartition(n, 0, cells)
+    return _staircase(n, "brw")
 
 
 def p6_diamond_witness(n: int) -> Graph:
@@ -156,6 +162,7 @@ def p6_diamond_witness(n: int) -> Graph:
     The flip is a bipartite complementation, so the family keeps unbounded
     clique-width while becoming (P6, co(2P1+P2))-free.
     """
+    check_size(2 * n + 3 * n * n, n * n * (n + 3) + n**4, f"the layered graph with parameter {n}")
     g, _ = p6_diamond_base(n)
     b2 = [v for v in range(g.n) if g.names[v].startswith("b_{")]
     w2 = [v for v in range(g.n) if g.names[v].startswith("w_{")]
@@ -169,38 +176,7 @@ def two_clique_grid(n: int) -> tuple[Graph, LayeredPartition]:
     complete, X is independent, and no B-W edges exist.  The family is
     (3P2, P2+P4, P6, co(P1+P4))-free with clique-width at least n (m = 0).
     """
-    if n < 2:
-        raise InputError(f"family parameter must be at least 2, got {n}")
-    names: dict[int, str] = {}
-    b = {}
-    w = {}
-    x = {}
-    for i in range(1, n + 1):
-        b[i] = len(names)
-        names[b[i]] = f"b_{i}"
-    for j in range(1, n + 1):
-        w[j] = len(names)
-        names[w[j]] = f"w_{j}"
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            x[(i, j)] = len(names)
-            names[x[(i, j)]] = f"x_{{{i},{j}}}"
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            edges.append((b[i], b[j]))
-            edges.append((w[i], w[j]))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(i, n + 1):
-                edges.append((b[k], x[(i, j)]))
-            for k in range(j, n + 1):
-                edges.append((w[k], x[(i, j)]))
-    g = Graph(len(names), edges, names)
-    cells = {(i, 0): frozenset({b[i]}) for i in range(1, n + 1)}
-    cells |= {(0, j): frozenset({w[j]}) for j in range(1, n + 1)}
-    cells |= {(i, j): frozenset({x[(i, j)]}) for i in range(1, n + 1) for j in range(1, n + 1)}
-    return g, LayeredPartition(n, 0, cells)
+    return _staircase(n, "x", cliques=True)
 
 
 @dataclass(frozen=True)
@@ -213,38 +189,14 @@ class WitnessFamily:
     freeness: tuple[str, ...] = ()  # name-DSL patterns the members avoid
 
 
-def _wall_entry(h: int):
-    return wall(h), None
-
-
-def _swall_entry(h: int, k: int):
-    return subdivided_wall(h, k), None
-
-
-def _grid_entry(n: int):
-    return grid(n)
-
-
-def _thm4g_entry(n: int):
-    return p6_diamond_base(n)
-
-
-def _thm4h_entry(n: int):
-    return p6_diamond_witness(n), None
-
-
-def _thm5g_entry(n: int):
-    return two_clique_grid(n)
-
-
 FAMILIES: dict[str, WitnessFamily] = {
     f.family_id: f
     for f in (
-        WitnessFamily("wall", 1, _wall_entry),
-        WitnessFamily("swall", 2, _swall_entry),
-        WitnessFamily("grid", 1, _grid_entry),
-        WitnessFamily("thm4G", 1, _thm4g_entry),
-        WitnessFamily("thm4H", 1, _thm4h_entry, ("P6", "co(2P1+P2)")),
-        WitnessFamily("thm5G", 1, _thm5g_entry, ("3P2", "P2+P4", "P6", "co(P1+P4)")),
+        WitnessFamily("wall", 1, lambda h: (wall(h), None)),
+        WitnessFamily("swall", 2, lambda h, k: (subdivided_wall(h, k), None)),
+        WitnessFamily("grid", 1, grid),
+        WitnessFamily("thm4G", 1, p6_diamond_base),
+        WitnessFamily("thm4H", 1, lambda n: (p6_diamond_witness(n), None), ("P6", "co(2P1+P2)")),
+        WitnessFamily("thm5G", 1, two_clique_grid, ("3P2", "P2+P4", "P6", "co(P1+P4)")),
     )
 }

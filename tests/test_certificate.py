@@ -171,14 +171,11 @@ def test_corner_cell_policy():
     moved = next(iter(cells[(1, 1)]))
     cells[(1, 1)] = frozenset()
     cells[(0, 0)] = frozenset({moved})
-    # frozen cell (1,1) is now empty, so property 3 fails; but first the
-    # nonempty corner must be explicitly allowed
+    # cell (1,1) is now empty too, but the nonempty corner is refused before
+    # any property is checked
     bad = LayeredPartition(p.n, p.m, cells)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"cell \(0,0\) is nonempty"):
         check_certificate(g, bad)
-    report = check_certificate(g, bad, allow_nonempty_corner=True)
-    assert report.notes and "unverified" in report.notes[0]
-    assert not report.all_hold
 
 
 def test_certified_bound_respects_oracle():

@@ -10,9 +10,10 @@ import pytest
 import cwkit
 from cwkit.cli import resolve_graph, run
 from cwkit.errors import InputError
-from cwkit.graphs import to_graph6
+from cwkit.graphs import to_edge_list, to_graph6
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import graph_named
+from cwkit.witnesses import p6_diamond_base
 
 
 def invoke(*argv):
@@ -172,28 +173,63 @@ def test_flat_union_of_thousands_evaluates(tmp_path):
     assert proc.stdout.splitlines()[:2] == ["width=1", "n=3000 m=0"]
 
 
-def test_huge_declared_vertex_count_is_a_capacity_error(tmp_path):
-    # The header alone would make the graph allocate one int per declared
-    # vertex (about 8 GB on 64-bit CPython); the run is held to 1 GiB of address
-    # space so that a missing cap fails the test instead of the machine.
+def _run_in_one_gib(*argv):
+    """Run the CLI in a subprocess held to 1 GiB of address space, so that a
+    missing cap fails the test instead of the machine."""
     import resource
 
-    f = tmp_path / "huge.edges"
-    f.write_text("1000000000 0\n")
     src = os.path.dirname(os.path.dirname(cwkit.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "cwkit", "cw", "exact", str(f)],
+    return subprocess.run(
+        [sys.executable, "-m", "cwkit", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
         preexec_fn=limit_memory,
     )
+
+
+def test_huge_declared_vertex_count_is_a_capacity_error(tmp_path):
+    # The header alone would make the graph allocate one int per declared
+    # vertex (about 8 GB on 64-bit CPython).
+    f = tmp_path / "huge.edges"
+    f.write_text("1000000000 0\n")
+    proc = _run_in_one_gib("cw", "exact", str(f))
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "at most 100000 vertices" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (("witness", "thm4G", "100000"), "at most 100000 vertices"),
+        (("classify", "single", "K100000"), "at most 1000000 edges"),
+        (("classify", "single", "P100000000"), "at most 100000 vertices"),
+        (("classify", "single", "grid(100000)"), "at most 100000 vertices"),
+    ],
+    ids=["thm4G(100000)", "K100000", "P100000000", "grid(100000)"],
+)
+def test_huge_generated_graph_is_a_capacity_error(argv, limit):
+    # Generators and names are checked with the graph's closed-form size
+    # before anything is built.
+    proc = _run_in_one_gib(*argv)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert limit in proc.stderr
+
+
+def test_oversized_oracle_table_is_a_capacity_error(tmp_path):
+    # 33 connected vertices: the tables would hold 2**33 entries each, and
+    # --max-n does not lift the table ceiling.
+    f = tmp_path / "thm4G3.edges"
+    f.write_text(to_edge_list(p6_diamond_base(3)[0]))
+    proc = _run_in_one_gib("cw", "exact", str(f), "--max-n", "40")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "at most 16 vertices, got 33" in proc.stderr

@@ -15,7 +15,6 @@ from cwkit.names import graph_named
 from cwkit.patterns import (
     Embedding,
     contains_induced,
-    cycle_and_path_probes,
     has_induced,
     has_induced_cycle_at_least,
     has_triangle,
@@ -155,9 +154,9 @@ def test_class_s_implies_sparse_forest():
 
 def test_shape_fixtures():
     st = shape_tests(graph_named("4P1"))
-    assert st.is_edgeless and st.edgeless_size == 4 and st.is_complete_multipartite
+    assert st.is_edgeless and st.is_complete_multipartite
     st = shape_tests(graph_named("K5"))
-    assert st.is_complete and st.complete_size == 5 and st.is_complete_multipartite
+    assert st.is_complete and st.is_complete_multipartite
     st = shape_tests(graph_named("P1+P5"))
     assert st.is_linear_forest and not st.is_edgeless and st.is_forest
     st = shape_tests(graph_named("K1_4"))
@@ -224,10 +223,9 @@ def test_kuratowski_supergraphs_rejected():
 
 def test_probe_fixtures():
     c6 = graph_named("C6")
-    rep = cycle_and_path_probes(c6, min_cycle=5)
-    assert not rep.has_triangle
-    assert rep.has_induced_cycle_at_least
-    assert rep.longest_induced_path_length == 5
+    assert not has_triangle(c6)
+    assert has_induced_cycle_at_least(c6, 5)
+    assert longest_induced_path(c6) == 5
     k3 = graph_named("K3")
     assert has_triangle(k3)
     assert not has_induced_cycle_at_least(k3, 4)

@@ -1,11 +1,15 @@
+import hashlib
+
 import pytest
 
+from cwkit.certificate import format_partition
 from cwkit.errors import InputError
-from cwkit.graphs import complement_bipartite
+from cwkit.graphs import complement_bipartite, to_graph6
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import graph_named
 from cwkit.patterns import is_free, is_planar
 from cwkit.witnesses import (
+    FAMILIES,
     grid,
     p6_diamond_base,
     p6_diamond_witness,
@@ -114,3 +118,17 @@ def test_parameter_guards():
     for build in (p6_diamond_base, p6_diamond_witness, two_clique_grid):
         with pytest.raises(InputError):
             build(1)
+
+
+def test_family_members_golden():
+    # ``witness --out`` writes the graph with this vertex numbering, so the
+    # numbering, the names and the partitions are pinned, not just the shape
+    h = hashlib.sha256()
+    members = [(f, p) for f in ("thm4G", "thm4H", "thm5G", "wall") for p in range(2, 7)]
+    members += [("grid", p) for p in range(3, 7)]
+    for family, p in members:
+        g, partition = FAMILIES[family].build(p)
+        h.update(f"{family} {p}\n{to_graph6(g)}\n{sorted(g.names.items())}\n".encode())
+        if partition is not None:
+            h.update(format_partition(partition).encode())
+    assert h.hexdigest() == "4f8c0f422e0ed7f4d5d24632f191bf5e44764e314530280364118e74f1a90aa3"
