@@ -179,9 +179,17 @@ def test_basic_queries():
     g = graph_named("2P3")
     assert len(g.components()) == 2
     assert g.bipartition() is not None
-    assert tuple(g.degree(v) for v in range(g.n)) == (1, 2, 1, 1, 2, 1)
     assert Graph(1).is_connected()
     assert Graph(0).is_connected()
+
+
+def test_basic_queries_record():
+    # The fields the removed basic_queries record bundled, read from Graph.
+    c7 = graph_named("C7")
+    assert c7.max_degree() == 2 and c7.is_connected() and c7.bipartition() is None
+    g = graph_named("2P3")
+    assert len(g.components()) == 2 and g.bipartition() is not None
+    assert tuple(g.degree(v) for v in range(g.n)) == (1, 2, 1, 1, 2, 1)
 
 
 def test_graph6_round_trip_enumerated():
