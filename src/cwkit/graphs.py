@@ -170,8 +170,9 @@ def _check_vertex(g: Graph, v: int) -> None:
 # Fixed ceilings on every graph read from an edge list, generated by a family
 # or realised from a name.  Callers pass the graph's closed-form size before
 # any list is built, so a huge parameter is refused instead of exhausting
-# memory; no flag lifts them.
-EDGE_LIST_CAP = 100_000
+# memory; no flag lifts them.  The adjacency bitmasks of an n-vertex graph
+# take up to n*n/8 bytes, 50 MB at the vertex ceiling.
+EDGE_LIST_CAP = 20_000
 EDGE_CAP = 1_000_000
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import InputError, ParseError, _Tokens
-from .graphs import Graph, check_size, complement, disjoint_union, induced_subgraph
+from .graphs import Graph, check_size, complement, induced_subgraph
 from .witnesses import _wall_size, grid, subdivided_wall, wall
 
 __all__ = [
@@ -332,12 +332,17 @@ def _build(expr: NameExpr) -> Graph:
         case Complement(inner):
             return complement(_build(inner))
         case Sum(parts):
-            out = Graph(0)
+            # one pass with vertex offsets, as repeated disjoint_union would
+            # number them, but without copying the graph built so far
+            n, edges, names = 0, [], {}
             for mult, sub in parts:
                 piece = _build(sub)
                 for _ in range(mult):
-                    out = disjoint_union(out, piece)
-            return out
+                    edges += [(u + n, v + n) for u, v in piece.edges]
+                    if piece.names:
+                        names.update({v + n: s for v, s in piece.names.items()})
+                    n += piece.n
+            return Graph(n, edges, names or None)
         case Wall(h):
             return wall(h)
         case SubdividedWall(h, k):

@@ -10,7 +10,7 @@ import pytest
 import cwkit
 from cwkit.cli import resolve_graph, run
 from cwkit.errors import InputError
-from cwkit.graphs import to_edge_list, to_graph6
+from cwkit.graphs import EDGE_LIST_CAP, to_edge_list, to_graph6
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import graph_named
 from cwkit.witnesses import p6_diamond_base
@@ -202,18 +202,21 @@ def test_huge_declared_vertex_count_is_a_capacity_error(tmp_path):
     proc = _run_in_one_gib("cw", "exact", str(f))
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "at most 100000 vertices" in proc.stderr
+    assert f"at most {EDGE_LIST_CAP} vertices" in proc.stderr
 
 
 @pytest.mark.parametrize(
     "argv, limit",
     [
-        (("witness", "thm4G", "100000"), "at most 100000 vertices"),
-        (("classify", "single", "K100000"), "at most 1000000 edges"),
-        (("classify", "single", "P100000000"), "at most 100000 vertices"),
-        (("classify", "single", "grid(100000)"), "at most 100000 vertices"),
+        (("witness", "thm4G", "100000"), f"at most {EDGE_LIST_CAP} vertices"),
+        (("classify", "single", "K100000"), f"at most {EDGE_LIST_CAP} vertices"),
+        (("classify", "single", "K2000"), "at most 1000000 edges"),
+        (("classify", "single", "P100000000"), f"at most {EDGE_LIST_CAP} vertices"),
+        (("classify", "single", "grid(100000)"), f"at most {EDGE_LIST_CAP} vertices"),
+        # a path this long would need about n*n/16 bytes of adjacency bitmasks
+        (("classify", "single", "P100000"), f"at most {EDGE_LIST_CAP} vertices"),
     ],
-    ids=["thm4G(100000)", "K100000", "P100000000", "grid(100000)"],
+    ids=["thm4G(100000)", "K100000", "K2000", "P100000000", "grid(100000)", "P100000"],
 )
 def test_huge_generated_graph_is_a_capacity_error(argv, limit):
     # Generators and names are checked with the graph's closed-form size

@@ -1,7 +1,7 @@
 import pytest
 
 from cwkit.errors import InputError, ParseError
-from cwkit.graphs import complement
+from cwkit.graphs import Graph, complement, disjoint_union, to_graph6
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import (
     Complement,
@@ -130,3 +130,27 @@ def test_recognize_inverts_realize():
         e = recognize(g)
         assert e is not None, name
         assert is_isomorphic(realize(e), g), name
+
+
+@pytest.mark.parametrize(
+    "text, parts",
+    [
+        ("2P2", [(2, "P2")]),
+        ("3P2", [(3, "P2")]),
+        ("4K3", [(4, "K3")]),
+        ("2P1+2P3", [(2, "P1"), (2, "P3")]),
+        ("co(2P2)+P1", [(1, "co(2P2)"), (1, "P1")]),
+        ("P1+2wall(2)", [(1, "P1"), (2, "wall(2)")]),
+    ],
+)
+def test_sum_matches_repeated_disjoint_union(text, parts):
+    want = Graph(0)
+    for mult, name in parts:
+        piece = graph_named(name)
+        for _ in range(mult):
+            want = disjoint_union(want, piece)
+    got = graph_named(text)
+    assert got.n == want.n
+    assert got.edges == want.edges
+    assert got.names == want.names
+    assert to_graph6(got) == to_graph6(want)

@@ -1,6 +1,11 @@
-from cwkit.classifier import Status, classify_pair
+import contextlib
+import io
+import json
+
+from cwkit.classifier import PAIR_RULES, Status, classify_pair, fire
+from cwkit.cli import run
 from cwkit.enumeration import nonisomorphic_graphs_upto
-from cwkit.scan import scan_pairs
+from cwkit.scan import PHASES, _catalogue, _fired_rows, _special_rows, scan_pairs
 
 
 def test_scan_cross_checks_the_pairwise_classifier():
@@ -49,3 +54,59 @@ def test_scan_tiny_budget_has_no_swap_partner():
     result = scan_pairs(3)
     assert not result.conflicts
     assert sum(result.counts.values()) == result.pair_count
+
+
+def _kernel_fired(cat, i, j):
+    # the shared pair kernel, exactly as classify_pair runs it
+    return fire(cat.pair_class(i, j), cat.sides.__getitem__)[0]
+
+
+def test_row_kernel_matches_pair_kernel():
+    # every unordered pair of graphs with at most 6 vertices, the rows and
+    # columns of K3, the paw and their complements included
+    cat = _catalogue(6, {})
+    assert len(cat.special) == 4
+    rows = dict(_fired_rows(cat, _special_rows(cat)))
+    n = len(cat.graphs)
+    pairs = 0
+    for i in range(n):
+        assert len(rows[i]) == len(PAIR_RULES)
+        for s in rows[i]:
+            assert s >> i << i == s and s >> n == 0, "bits outside j in i..n-1"
+        for j in range(i, n):
+            got = sum(1 << r for r, s in enumerate(rows[i]) if s >> j & 1)
+            assert got == _kernel_fired(cat, i, j), (i, j)
+            pairs += 1
+    assert pairs == 21736
+
+
+def test_scan_json_keys_and_rule_fires():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["scan", "--max-vertices", "5", "--json"])
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    assert list(doc) == [
+        "max_vertices", "pairs", "counts", "open_pairs", "conflicts", "rule_fires", "phase_seconds",
+    ]
+    assert list(doc["phase_seconds"]) == list(PHASES)
+    assert doc["counts"] == {"Bounded": 376, "Unbounded": 991, "Open": 11}
+    assert doc["pairs"] == 52 * 53 // 2 and doc["conflicts"] == []
+    assert list(doc["open_pairs"][0]) == ["h1", "h2", "case"]
+    assert len(doc["open_pairs"]) == 11
+    # a fire count is the number of unordered pairs whose class fires the rule
+    cat = _catalogue(5, {})
+    want = {rule.rule_id: 0 for rule in PAIR_RULES}
+    for i in range(len(cat.graphs)):
+        for j in range(i, len(cat.graphs)):
+            fired = _kernel_fired(cat, i, j)
+            for r, rule in enumerate(PAIR_RULES):
+                want[rule.rule_id] += fired >> r & 1
+    assert doc["rule_fires"] == want
+
+
+def test_scan_default_output_is_the_report():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["scan", "--max-vertices", "5"]) == 0
+    assert out.getvalue() == scan_pairs(5).report() + "\n"
