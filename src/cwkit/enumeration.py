@@ -22,8 +22,6 @@ ENUMERATION_CAP = 9
 @lru_cache(maxsize=None)
 def _level(n: int) -> tuple[tuple[int, ...], ...]:
     """Canonical adjacency-mask tuples of all non-isomorphic n-vertex graphs."""
-    if n > ENUMERATION_CAP:
-        raise CapacityError(f"enumeration supports at most {ENUMERATION_CAP} vertices, got {n}")
     if n == 0:
         return ((),)
     if n == 1:
@@ -41,6 +39,12 @@ def _level(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(adj for _, adj in ordered)
 
 
+def _check_cap(n: int) -> None:
+    # checked up front: the levels below the cap take minutes to build
+    if n > ENUMERATION_CAP:
+        raise CapacityError(f"enumeration supports at most {ENUMERATION_CAP} vertices, got {n}")
+
+
 def _to_graph(adj: tuple[int, ...]) -> Graph:
     n = len(adj)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
@@ -49,11 +53,13 @@ def _to_graph(adj: tuple[int, ...]) -> Graph:
 
 def nonisomorphic_graphs(n: int) -> list[Graph]:
     """All non-isomorphic graphs on exactly n vertices, deterministically ordered."""
+    _check_cap(n)
     return [_to_graph(adj) for adj in _level(n)]
 
 
 def nonisomorphic_graphs_upto(n: int) -> list[Graph]:
     """All non-isomorphic graphs on 1..n vertices."""
+    _check_cap(n)
     out: list[Graph] = []
     for k in range(1, n + 1):
         out.extend(nonisomorphic_graphs(k))

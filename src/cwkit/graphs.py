@@ -359,9 +359,11 @@ def from_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ParseError(f"graph6 body has {len(body)} bytes, expected {need} for n={n}")
+    bits = "".join(map(_SEXTET_BITS.__getitem__, body))
+    # the padding after the first n(n-1)/2 bits is not an edge
+    check_size(n, bits.count("1", 0, n * (n - 1) // 2), "the graph6 input")
     # Column v is the v bits after the first v(v-1)/2, with u = 0 first, as
     # to_graph6 writes them.
-    bits = "".join(map(_SEXTET_BITS.__getitem__, body))
     edges = []
     for v in range(1, n):
         start = v * (v - 1) // 2

@@ -6,22 +6,30 @@ ids.  The scan doubles as the consistency harness: it reports any pair on
 which a bounded rule and an unbounded rule both fire, and any pair that
 neither matches a rule nor is equivalent to a listed open case.
 
-The pairs are decided a row at a time.  Let T hold K3, the paw and their
-complements.  A pair (i, j) with neither graph in T has the class
-{(i, j), (co i, co j)}, so rule r fires on it exactly when
+The pairs are decided a row at a time.  A pair's class is closed under
+complementing both graphs and under swapping K3 with the paw at either
+position.  The swap acts on one position at a time, and so does its
+conjugate by complementation (3P1 with P1+P3), so the class of (i, j) is
 
-    L_r(i) R_r(j)  or  L_r(j) R_r(i)  or  L_r(co i) R_r(co j)  or  L_r(co j) R_r(co i),
+    orbit(i) x orbit(j)  united with  orbit(co i) x orbit(co j),
 
-where L_r and R_r say that the rule's left and right sides hold.  With four
-bitsets over graph ids per rule (own left, own right, complement's left,
-complement's right), the ids j whose pair with i fires r are the OR of at
-most four of them, chosen by i's own and its complement's sides.  The pairs
-touching T, whose class also swaps K3 with the paw, take their fired rules
-from the shared pair kernel ``classify_pair`` uses (``pair_class`` and
-``fire``); so do the pairs on which no rule fires (the open-case lookup) and
-those on which both statuses fire (the conflicts).  Every open line and
-every conflict therefore comes from that kernel, and the row sets only
-count.
+where orbit(K3) = {K3, paw}, orbit(3P1) = {3P1, P1+P3} and every other
+orbit is {i}.  Over a product of orbits, some member fires rule r exactly
+when some member of the first orbit has r's left side and some member of
+the second its right side.  So with each graph's rule sides ORed over its
+orbit (its orbit sides), rule r fires on the class of (i, j) exactly when
+
+    L_r(i) R_r(j)  or  L_r(j) R_r(i)  or  L_r(co i) R_r(co j)  or  L_r(co j) R_r(co i).
+
+With four bitsets over graph ids per rule (own left, own right,
+complement's left, complement's right), the ids j whose pair with i fires r
+are the OR of at most four of them, chosen by i's own and its complement's
+sides.  The pairs on which no rule fires (the open-case lookup) and those on
+which both statuses fire (the conflicts) go through the shared pair kernel
+``classify_pair`` uses (``pair_class``, ``fire`` and ``open_case``); over a
+whole class ``fire`` gives the same bits with orbit sides as with a graph's
+own.  Every open line and every conflict therefore comes from that kernel,
+and the row sets only count.
 """
 
 from __future__ import annotations
@@ -83,16 +91,12 @@ class _Catalogue(NamedTuple):
     graphs: list[Graph]
     keys: list[tuple]
     co: list[int]  # id of the complement
-    sides: list[tuple[int, int]]  # rule sides, complement's facts included
+    sides: list[tuple[int, int]]  # orbit sides, complement's facts included
     partner: dict[int, int]  # K3 <-> paw, when both are in range
-    special: frozenset[int]  # T: K3, the paw and their complements
 
     def pair_class(self, i: int, j: int) -> list[tuple[int, int]]:
         # ids are their own keys
         return pair_class(i, j, int, self.co.__getitem__, self.partner.get)
-
-    def fire(self, i: int, j: int) -> int:
-        return fire(self.pair_class(i, j), self.sides.__getitem__)[0]
 
 
 def _bitset(ids, n: int) -> int:
@@ -117,36 +121,15 @@ def _columns(cat: _Catalogue) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _special_rows(cat: _Catalogue) -> dict[int, list[int]]:
-    """Per row i, per rule, the ids j >= i with i or j in T whose pair fires
-    the rule, from the shared pair kernel."""
-    hits: dict[int, list[list[int]]] = {}
-    n = len(cat.graphs)
-    for i in range(n):
-        for j in range(i, n) if i in cat.special else sorted(t for t in cat.special if t >= i):
-            fired = cat.fire(i, j)
-            row = hits.setdefault(i, [[] for _ in PAIR_RULES])
-            while fired:
-                low = fired & -fired
-                row[low.bit_length() - 1].append(j)
-                fired ^= low
-    return {i: [_bitset(js, n) for js in row] for i, row in hits.items()}
-
-
-def _fired_rows(cat: _Catalogue, special: dict[int, list[int]]) -> Iterator[tuple[int, list[int]]]:
+def _fired_rows(cat: _Catalogue) -> Iterator[tuple[int, list[int]]]:
     """Per row i, per rule r, the bitset of ids j >= i whose pair with i
-    fires r: the row identity off T, ``special`` (``_special_rows``) on it."""
+    fires r."""
     cols = _columns(cat)
-    n = len(cat.graphs)
-    plain = ((1 << n) - 1) & ~_bitset(cat.special, n)
-    for i in range(n):
-        if i in cat.special:
-            yield i, special[i]
-            continue
+    everything = (1 << len(cat.graphs)) - 1
+    for i in range(len(cat.graphs)):
         li, ri = cat.sides[i]
         lc, rc = cat.sides[cat.co[i]]
-        above = plain >> i << i
-        extra = special.get(i)
+        above = everything >> i << i
         sets = []
         for r, (own_l, own_r, co_l, co_r) in enumerate(cols):
             s = 0
@@ -158,10 +141,7 @@ def _fired_rows(cat: _Catalogue, special: dict[int, list[int]]) -> Iterator[tupl
                 s |= co_r
             if rc >> r & 1:
                 s |= co_l
-            s &= above
-            if extra:
-                s |= extra[r]
-            sets.append(s)
+            sets.append(s & above)
         yield i, sets
 
 
@@ -180,9 +160,11 @@ def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
     clock["keys"] = perf_counter() - t
     t = perf_counter()
     sides = [rule_sides(PAIR_RULES, pair_facts(g, graphs[co[i]])) for i, g in enumerate(graphs)]
+    # orbit sides: each orbit's two members share their ORed sides
+    for a, b in ((k3, paw), (co[k3], co[paw])) if partner else ():
+        sides[a] = sides[b] = (sides[a][0] | sides[b][0], sides[a][1] | sides[b][1])
     clock["sides"] = perf_counter() - t
-    special = frozenset(partner) | {co[x] for x in partner}
-    return _Catalogue(graphs, keys, co, sides, partner, special)
+    return _Catalogue(graphs, keys, co, sides, partner)
 
 
 def scan_pairs(max_vertices: int = 7) -> ScanResult:
@@ -199,12 +181,9 @@ def scan_pairs(max_vertices: int = 7) -> ScanResult:
     conflicts: list[str] = []
     fires = [0] * len(PAIR_RULES)
     t = perf_counter()
-    special = _special_rows(cat)
-    clock["fallback"] = perf_counter() - t
-    t = perf_counter()
     in_rows = 0.0  # fallback time spent inside the row loop
     everything = (1 << len(graphs)) - 1
-    for i, sets in _fired_rows(cat, special):
+    for i, sets in _fired_rows(cat):
         bounded = unbounded = 0
         for r, s in enumerate(sets):
             if s:
@@ -237,7 +216,7 @@ def scan_pairs(max_vertices: int = 7) -> ScanResult:
                 conflicts.append(f"no rule and no open case matches {where(i, j)}")
         in_rows += perf_counter() - t_rest
     clock["kernel"] = perf_counter() - t - in_rows
-    clock["fallback"] += in_rows
+    clock["fallback"] = in_rows
     conflicts.sort()
     total = len(graphs) * (len(graphs) + 1) // 2
     rule_fires = {rule.rule_id: fires[r] for r, rule in enumerate(PAIR_RULES)}

@@ -227,6 +227,20 @@ def test_huge_generated_graph_is_a_capacity_error(argv, limit):
     assert limit in proc.stderr
 
 
+def test_huge_graph6_input_is_a_capacity_error(tmp_path):
+    # K4000 as graph6: a 1.3 MB file for 7,998,000 edges, refused before any
+    # edge list is built.  n(n-1)/2 is a multiple of 6, so every body byte
+    # is six set bits and there is no padding.
+    n = 4000
+    size = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+    f = tmp_path / "k4000.g6"
+    f.write_text(size + "~" * (n * (n - 1) // 12) + "\n")
+    proc = _run_in_one_gib("classify", "single", str(f))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "the graph6 input has 7998000 edges; graphs support at most 1000000 edges" in proc.stderr
+
+
 def test_oversized_oracle_table_is_a_capacity_error(tmp_path):
     # 33 connected vertices: the tables would hold 2**33 entries each, and
     # --max-n does not lift the table ceiling.

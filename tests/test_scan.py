@@ -2,10 +2,15 @@ import contextlib
 import io
 import json
 
-from cwkit.classifier import PAIR_RULES, Status, classify_pair, fire
+import pytest
+
+from cwkit.classifier import PAIR_RULES, Status, classify_pair, fire, pair_facts, rule_sides
 from cwkit.cli import run
-from cwkit.enumeration import nonisomorphic_graphs_upto
-from cwkit.scan import PHASES, _catalogue, _fired_rows, _special_rows, scan_pairs
+from cwkit.enumeration import _level, nonisomorphic_graphs, nonisomorphic_graphs_upto
+from cwkit.errors import CapacityError
+from cwkit.isomorphism import canonical_key
+from cwkit.names import graph_named
+from cwkit.scan import PHASES, _catalogue, _fired_rows, scan_pairs
 
 
 def test_scan_cross_checks_the_pairwise_classifier():
@@ -56,17 +61,21 @@ def test_scan_tiny_budget_has_no_swap_partner():
     assert sum(result.counts.values()) == result.pair_count
 
 
-def _kernel_fired(cat, i, j):
-    # the shared pair kernel, exactly as classify_pair runs it
-    return fire(cat.pair_class(i, j), cat.sides.__getitem__)[0]
+def _kernel_fired(cat):
+    """fired(i, j): the shared pair kernel, exactly as classify_pair runs it,
+    on each graph's own rule sides (not the catalogue's orbit sides)."""
+    raw = [rule_sides(PAIR_RULES, pair_facts(g, cat.graphs[cat.co[i]])) for i, g in enumerate(cat.graphs)]
+    return lambda i, j: fire(cat.pair_class(i, j), raw.__getitem__)[0]
 
 
 def test_row_kernel_matches_pair_kernel():
     # every unordered pair of graphs with at most 6 vertices, the rows and
     # columns of K3, the paw and their complements included
     cat = _catalogue(6, {})
-    assert len(cat.special) == 4
-    rows = dict(_fired_rows(cat, _special_rows(cat)))
+    k3, paw = (cat.keys.index(canonical_key(graph_named(name))) for name in ("K3", "paw"))
+    assert cat.partner == {k3: paw, paw: k3}
+    fired = _kernel_fired(cat)
+    rows = dict(_fired_rows(cat))
     n = len(cat.graphs)
     pairs = 0
     for i in range(n):
@@ -75,7 +84,7 @@ def test_row_kernel_matches_pair_kernel():
             assert s >> i << i == s and s >> n == 0, "bits outside j in i..n-1"
         for j in range(i, n):
             got = sum(1 << r for r, s in enumerate(rows[i]) if s >> j & 1)
-            assert got == _kernel_fired(cat, i, j), (i, j)
+            assert got == fired(i, j), (i, j)
             pairs += 1
     assert pairs == 21736
 
@@ -96,10 +105,11 @@ def test_scan_json_keys_and_rule_fires():
     assert len(doc["open_pairs"]) == 11
     # a fire count is the number of unordered pairs whose class fires the rule
     cat = _catalogue(5, {})
+    kernel = _kernel_fired(cat)
     want = {rule.rule_id: 0 for rule in PAIR_RULES}
     for i in range(len(cat.graphs)):
         for j in range(i, len(cat.graphs)):
-            fired = _kernel_fired(cat, i, j)
+            fired = kernel(i, j)
             for r, rule in enumerate(PAIR_RULES):
                 want[rule.rule_id] += fired >> r & 1
     assert doc["rule_fires"] == want
@@ -110,3 +120,13 @@ def test_scan_default_output_is_the_report():
     with contextlib.redirect_stdout(out):
         assert run(["scan", "--max-vertices", "5"]) == 0
     assert out.getvalue() == scan_pairs(5).report() + "\n"
+
+
+def test_scan_past_the_enumeration_cap_builds_no_level():
+    # the cap is checked before any level below it is enumerated
+    before = _level.cache_info()
+    with pytest.raises(CapacityError, match="at most 9 vertices, got 10"):
+        scan_pairs(10)
+    with pytest.raises(CapacityError, match="at most 9 vertices, got 10"):
+        nonisomorphic_graphs(10)
+    assert _level.cache_info() == before
