@@ -2,9 +2,13 @@
 
 A partition of V(G) into cells V_{i,j} (0 <= i,j <= n) that satisfies eight
 structural properties forces every build expression for G to use at least
-floor((n-1)/(m+1)) + 1 labels.  The checker tests each property literally and
-reports a concrete witness for every failure; the bound is emitted only when
-all eight hold.
+floor((n-1)/(m+1)) + 1 labels.  The checker decides each property exactly,
+on vertex bitmasks: rows and columns are searched breadth-first inside their
+own vertex mask, and a vertex breaks an adjacency property exactly when its
+neighbourhood meets a mask of the cells it may not see.  The loop over the
+edges runs only to word a failure as a concrete witness edge.  No step walks
+the indices 1..n, so the cost depends on the cells present and on the
+graph, not on the declared n.  The bound is emitted only when all eight hold.
 
 Partition file format: a header line "n m", then one line per nonempty cell,
 "i j : v1 v2 ...".
@@ -12,11 +16,14 @@ Partition file format: a header line "n m", then one line per nonempty cell,
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from operator import or_
+from typing import Callable, Optional
 
 from .errors import HypothesisError, InputError, ParseError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
 
 __all__ = [
     "LayeredPartition",
@@ -39,18 +46,6 @@ class LayeredPartition:
 
     def cell(self, i: int, j: int) -> frozenset[int]:
         return self.cells.get((i, j), frozenset())
-
-    def row(self, i: int) -> frozenset[int]:
-        out: set[int] = set()
-        for j in range(self.n + 1):
-            out |= self.cell(i, j)
-        return frozenset(out)
-
-    def column(self, j: int) -> frozenset[int]:
-        out: set[int] = set()
-        for i in range(self.n + 1):
-            out |= self.cell(i, j)
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -100,8 +95,13 @@ def _validate_partition(g: Graph, p: LayeredPartition) -> None:
         raise InputError(f"cells do not cover vertices {missing}: not a partition")
 
 
-def _connected_in(g: Graph, vertices: frozenset[int]) -> bool:
-    return induced_subgraph(g, vertices).is_connected()
+def _outside(lines: dict[int, int]) -> Callable[[int, int], int]:
+    """For vertex masks keyed by row (or column) index, a function giving the
+    union of the masks whose index lies below lo or above hi."""
+    keys = sorted(lines)
+    prefix = [0, *accumulate((lines[k] for k in keys), or_)]
+    suffix = [*accumulate((lines[k] for k in reversed(keys)), or_)][::-1] + [0]
+    return lambda lo, hi: prefix[bisect_left(keys, lo)] | suffix[bisect_right(keys, hi)]
 
 
 def check_certificate(g: Graph, p: LayeredPartition) -> CertificateReport:
@@ -117,51 +117,71 @@ def check_certificate(g: Graph, p: LayeredPartition) -> CertificateReport:
     def add(number: int, description: str, witness: Optional[str]) -> None:
         checks.append(PropertyCheck(number, description, witness is None, witness))
 
-    cell_of = {}
-    for (i, j), cell in p.cells.items():
-        for v in cell:
-            cell_of[v] = (i, j)
+    # Every step walks the nonempty cells, never the indices 1..n.
+    cells = {key: cell for key, cell in p.cells.items() if cell}
+    cell_of = {v: key for key, cell in cells.items() for v in cell}
+    # R_i and C_j include their border cells; the interior lines do not.
+    rows: dict[int, int] = {}
+    columns: dict[int, int] = {}
+    inner_rows: dict[int, int] = {}
+    inner_columns: dict[int, int] = {}
+    filled: dict[int, set[int]] = {}
+    for (i, j), cell in cells.items():
+        mask = sum(1 << v for v in cell)
+        rows[i] = rows.get(i, 0) | mask
+        columns[j] = columns.get(j, 0) | mask
+        if i and j:
+            inner_rows[i] = inner_rows.get(i, 0) | mask
+            inner_columns[j] = inner_columns.get(j, 0) | mask
+            filled.setdefault(i, set()).add(j)
+
+    def crowded(axis: int) -> Optional[str]:
+        # border cells V_{i,0} (axis 1) or V_{0,j} (axis 0); V_{0,0} is empty
+        keys = [key for key, cell in cells.items() if key[axis] == 0 and len(cell) > 1]
+        if not keys:
+            return None
+        i, j = min(keys)
+        return f"|V_{{{i},{j}}}| = {len(cells[i, j])}"
+
+    add(1, "|V_{i,0}| <= 1 for all i >= 1", crowded(1))
+    add(2, "|V_{0,j}| <= 1 for all j >= 1", crowded(0))
 
     w = None
+    # a full row holds n cells, so this stops within |cells|/n + 1 rows
     for i in range(1, p.n + 1):
-        if len(p.cell(i, 0)) > 1:
-            w = f"|V_{{{i},0}}| = {len(p.cell(i, 0))}"
-            break
-    add(1, "|V_{i,0}| <= 1 for all i >= 1", w)
-
-    w = None
-    for j in range(1, p.n + 1):
-        if len(p.cell(0, j)) > 1:
-            w = f"|V_{{0,{j}}}| = {len(p.cell(0, j))}"
-            break
-    add(2, "|V_{0,j}| <= 1 for all j >= 1", w)
-
-    w = None
-    for i in range(1, p.n + 1):
-        for j in range(1, p.n + 1):
-            if not p.cell(i, j):
-                w = f"V_{{{i},{j}}} is empty"
-                break
-        if w:
+        js = filled.get(i, ())
+        if len(js) < p.n:
+            j = next(j for j in range(1, p.n + 1) if j not in js)
+            w = f"V_{{{i},{j}}} is empty"
             break
     add(3, "|V_{i,j}| >= 1 for all i,j >= 1", w)
 
-    w = None
-    for i in range(1, p.n + 1):
-        if not _connected_in(g, p.row(i)):
-            w = f"row {i} induces a disconnected subgraph"
-            break
-    add(4, "every row R_i (i >= 1) induces a connected subgraph", w)
+    def disconnected(lines: dict[int, int]) -> Optional[int]:
+        # a line without cells is empty, hence connected
+        return next((k for k in sorted(lines) if k and len(g.component_masks(lines[k])) > 1), None)
 
-    w = None
-    for j in range(1, p.n + 1):
-        if not _connected_in(g, p.column(j)):
-            w = f"column {j} induces a disconnected subgraph"
-            break
+    i = disconnected(rows)
+    w = None if i is None else f"row {i} induces a disconnected subgraph"
+    add(4, "every row R_i (i >= 1) induces a connected subgraph", w)
+    j = disconnected(columns)
+    w = None if j is None else f"column {j} induces a disconnected subgraph"
     add(5, "every column C_j (j >= 1) induces a connected subgraph", w)
 
+    rows_outside = _outside(inner_rows)
+    columns_outside = _outside(inner_columns)
+
     def border_witness(border_axis: int) -> Optional[str]:
-        # border_axis 0: cells V_{k,0} constrain row index; 1: V_{0,k} / column
+        # border_axis 0: cells V_{k,0} constrain row index; 1: V_{0,k} / column.
+        # A V_{k,0} vertex fails exactly when it sees an interior row above k;
+        # the edge loop runs only to word the failure.
+        above = (rows_outside, columns_outside)[border_axis]
+        if not any(
+            g.adj[v] & above(0, key[border_axis])
+            for key, cell in cells.items()
+            if key[1 - border_axis] == 0
+            for v in cell
+        ):
+            return None
         for u, v in g.edges:
             for a, b in ((u, v), (v, u)):
                 ia, ja = cell_of[a]
@@ -183,17 +203,26 @@ def check_certificate(g: Graph, p: LayeredPartition) -> CertificateReport:
     add(6, "a V_{k,0} vertex adjacent to V_{i,j} (i,j>=1) forces i <= k", border_witness(0))
     add(7, "a V_{0,k} vertex adjacent to V_{i,j} (i,j>=1) forces j <= k", border_witness(1))
 
+    # A vertex of interior cell (i,j) may see interior vertices only in rows
+    # i-m..i+m and columns j-m..j+m; the edge loop runs only to word a failure.
     w = None
-    for u, v in sorted(g.edges):
-        iu, ju = cell_of[u]
-        iv, jv = cell_of[v]
-        if min(iu, ju) >= 1 and min(iv, jv) >= 1:
-            if abs(iu - iv) > p.m or abs(ju - jv) > p.m:
-                w = (
-                    f"edge {g.name_of(u)}-{g.name_of(v)} joins V_{{{iu},{ju}}} to "
-                    f"V_{{{iv},{jv}}}, exceeding offset {p.m}"
-                )
-                break
+    m = p.m
+    if any(
+        g.adj[v] & (rows_outside(i - m, i + m) | columns_outside(j - m, j + m))
+        for (i, j), cell in cells.items()
+        if i and j
+        for v in cell
+    ):
+        for u, v in sorted(g.edges):
+            iu, ju = cell_of[u]
+            iv, jv = cell_of[v]
+            if min(iu, ju) >= 1 and min(iv, jv) >= 1:
+                if abs(iu - iv) > m or abs(ju - jv) > m:
+                    w = (
+                        f"edge {g.name_of(u)}-{g.name_of(v)} joins V_{{{iu},{ju}}} to "
+                        f"V_{{{iv},{jv}}}, exceeding offset {m}"
+                    )
+                    break
     add(8, "interior adjacency moves at most m rows and m columns", w)
 
     bound = lower_bound(p.n, p.m) if all(c.holds for c in checks) else None

@@ -8,6 +8,7 @@ every operation returns a fresh graph.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping, Optional
 
 from .errors import CapacityError, InputError, ParseError
@@ -31,10 +32,12 @@ __all__ = [
 ]
 
 
+def _self_loop(v: int):
+    raise InputError(f"self-loop at vertex {v} is not allowed")
+
+
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    if u == v:
-        raise InputError(f"self-loop at vertex {u} is not allowed")
-    return (u, v) if u < v else (v, u)
+    return (u, v) if u < v else (v, u) if u > v else _self_loop(u)
 
 
 class Graph:
@@ -55,14 +58,20 @@ class Graph:
     ):
         if n < 0:
             raise InputError("vertex count must be non-negative")
-        norm = frozenset(_norm_edge(u, v) for u, v in edges)
-        for u, v in norm:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+        # The first self-loop in input order raises while the set is built.
+        norm = frozenset([(u, v) if u < v else (v, u) if u > v else _self_loop(u) for u, v in edges])
         adj = [0] * n
-        for u, v in norm:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        try:
+            for u, v in norm:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        except (IndexError, TypeError, ValueError):
+            # An endpoint outside 0..n-1 fails an index or a shift; report
+            # the first such edge in set order, or re-raise.
+            for u, v in norm:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InputError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}") from None
+            raise
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", norm)
         object.__setattr__(self, "names", dict(names) if names else None)
@@ -105,23 +114,24 @@ class Graph:
             return self.names[v]
         return str(v)
 
-    def component_masks(self) -> list[int]:
-        """Connected components as vertex bitmasks, ordered by least vertex."""
-        seen = 0
+    def component_masks(self, inside: Optional[int] = None) -> list[int]:
+        """Connected components as vertex bitmasks, ordered by least vertex.
+
+        With ``inside``, the components of the subgraph induced by that
+        vertex mask; no subgraph is built.
+        """
+        rest = (1 << self.n) - 1 if inside is None else inside
         out = []
-        for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = comp
+        while rest:
+            comp = frontier = rest & -rest
             while frontier:
                 nxt = 0
                 for u in _bits(frontier):
                     nxt |= self.adj[u]
-                frontier = nxt & ~comp
-                comp |= nxt
+                frontier = nxt & rest & ~comp
+                comp |= frontier
             out.append(comp)
-            seen |= comp
+            rest &= ~comp
         return out
 
     def components(self) -> list[list[int]]:
@@ -321,18 +331,21 @@ def _g6_size_bytes(n: int) -> bytes:
     raise InputError("graph6 encoding supports at most 258047 vertices")
 
 
-_SEXTETS = {format(i, "06b"): chr(i + 63) for i in range(64)}
-_SEXTET_BITS = {ord(ch): bits for bits, ch in _SEXTETS.items()}
+# Byte c of a graph6 body holds the six bits c - 63, the first in the 32s place.
+_G6_CHARS = bytes(range(63, 127))
+_G6_ENCODE = bytes((b + 63) & 255 for b in range(256))
+_G6_DECODE = bytes((b - 63) & 255 for b in range(256))
+_NONZERO = re.compile(rb"[^\x00]")
 
 
 def to_graph6(g: Graph) -> str:
     """Standard graph6 string (column-major upper triangle, 6-bit groups)."""
-    # Column v lists the pairs (u, v) for u < v, which are the bits of adj[v]
-    # below bit v, lowest first.
-    bits = "".join(format(a & ((1 << v) - 1), f"0{v}b")[::-1] for v, a in enumerate(g.adj) if v)
-    bits += "0" * (-len(bits) % 6)
-    body = "".join(_SEXTETS[bits[i : i + 6]] for i in range(0, len(bits), 6))
-    return _g6_size_bytes(g.n).decode("ascii") + body
+    size = _g6_size_bytes(g.n)
+    body = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
+    for u, v in g.edges:
+        k = (v * (v - 1) >> 1) + u  # pair (u, v), u < v, is bit v(v-1)/2 + u
+        body[k // 6] |= 32 >> k % 6
+    return (size + body.translate(_G6_ENCODE)).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
@@ -343,9 +356,9 @@ def from_graph6(text: str) -> Graph:
     if not s:
         raise ParseError("empty graph6 string")
     raw = s.encode("ascii", errors="replace")
-    for ch in raw:
-        if not (63 <= ch <= 126):
-            raise ParseError(f"invalid graph6 byte {ch}")
+    bad = raw.translate(None, _G6_CHARS)
+    if bad:
+        raise ParseError(f"invalid graph6 byte {bad[0]}")
     if raw[0] == 126:
         if len(raw) >= 4 and raw[1] == 126:
             raise ParseError("graph6 inputs beyond 258047 vertices are not supported")
@@ -356,19 +369,29 @@ def from_graph6(text: str) -> Graph:
     else:
         n = raw[0] - 63
         body = raw[1:]
-    need = (n * (n - 1) // 2 + 5) // 6
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
     if len(body) != need:
         raise ParseError(f"graph6 body has {len(body)} bytes, expected {need} for n={n}")
-    bits = "".join(map(_SEXTET_BITS.__getitem__, body))
+    bits = body.translate(_G6_DECODE)
     # the padding after the first n(n-1)/2 bits is not an edge
-    check_size(n, bits.count("1", 0, n * (n - 1) // 2), "the graph6 input")
-    # Column v is the v bits after the first v(v-1)/2, with u = 0 first, as
-    # to_graph6 writes them.
+    padding = bits[-1] & ((1 << (6 * need - pairs)) - 1) if bits else 0
+    check_size(n, int.from_bytes(bits, "big").bit_count() - padding.bit_count(), "the graph6 input")
+    # Bit k is the pair (u, v) with k = v(v-1)/2 + u; scanning the nonzero
+    # bytes in order yields the edges column by column, u ascending, as
+    # to_graph6 writes them.  Column v holds bits end - v .. end - 1.
     edges = []
-    for v in range(1, n):
-        start = v * (v - 1) // 2
-        column = int(bits[start : start + v][::-1], 2)
-        edges += [(u, v) for u in _bits(column)]
+    v = end = 1
+    for hit in _NONZERO.finditer(bits):
+        k = 6 * hit.start()
+        byte = bits[hit.start()]
+        for weight in (32, 16, 8, 4, 2, 1):
+            if byte & weight and k < pairs:
+                while k >= end:
+                    v += 1
+                    end += v
+                edges.append((k - end + v, v))
+            k += 1
     return Graph(n, edges)
 
 

@@ -1,3 +1,8 @@
+import hashlib
+import random
+import time
+from pathlib import Path
+
 import pytest
 
 from cwkit.certificate import (
@@ -10,7 +15,7 @@ from cwkit.certificate import (
 from cwkit.cwexact import cliquewidth
 from cwkit.errors import HypothesisError, InputError, ParseError
 from cwkit.graphs import Graph
-from cwkit.witnesses import grid, p6_diamond_base, two_clique_grid
+from cwkit.witnesses import FAMILIES, grid, p6_diamond_base, two_clique_grid
 
 
 def test_lower_bound_values():
@@ -196,3 +201,63 @@ def test_partition_file_round_trip():
         parse_partition("3 0\n1 1 1 : 0\n")
     with pytest.raises(ParseError):
         parse_partition("3 0\n1 1 : 0\n1 1 : 1\n")
+
+
+# -- golden reports ------------------------------------------------------
+
+GOLDEN_MEMBERS = [(f, k) for f in ("thm4G", "thm5G") for k in range(2, 8)]
+GOLDEN_MEMBERS += [("grid", k) for k in range(3, 8)]
+GOLDEN_FILE = Path(__file__).with_name("certificate_reports.sha256")
+
+
+def golden_cases():
+    """Each family member, then seeded corruptions of it: three moved
+    vertices, two added edges and two deleted edges, one edit per case."""
+    for family, k in GOLDEN_MEMBERS:
+        g, p = FAMILIES[family].build(k)
+        rng = random.Random(f"{family}({k})")
+        yield f"{family}({k})", g, p
+        for _ in range(3):
+            v = rng.randrange(g.n)
+            src = next(key for key, cell in sorted(p.cells.items()) if v in cell)
+            dst = (rng.randint(0, p.n), rng.randint(0, p.n))
+            cells = move_vertex(p.cells, v, src, dst)
+            yield f"{family}({k}) move {v} {src}->{dst}", g, LayeredPartition(p.n, p.m, cells)
+        for _ in range(2):
+            while True:
+                u, w = sorted(rng.sample(range(g.n), 2))
+                if not g.has_edge(u, w):
+                    break
+            yield f"{family}({k}) add {u}-{w}", Graph(g.n, g.edges | {(u, w)}, g.names), p
+        for _ in range(2):
+            e = sorted(g.edges)[rng.randrange(len(g.edges))]
+            yield f"{family}({k}) delete {e[0]}-{e[1]}", Graph(g.n, g.edges - {e}, g.names), p
+
+
+def test_certificate_reports_golden():
+    # Recorded from the checker that built an induced subgraph per row and
+    # column and scanned every edge for properties 6-8: reports and witness
+    # strings stay byte-identical.
+    want = dict(line.split("  ", 1)[::-1] for line in GOLDEN_FILE.read_text().splitlines())
+    got = {}
+    failed = set()
+    for label, g, p in golden_cases():
+        report = check_certificate(g, p)
+        got[label] = hashlib.sha256(repr(report).encode()).hexdigest()
+        failed |= {c.number for c in report.property_status if not c.holds}
+    assert [k for k in got if got[k] != want.get(k)] == []
+    assert got.keys() == want.keys()
+    # every fallback that words a witness is exercised
+    assert failed == set(range(1, 9))
+
+
+def test_check_time_does_not_depend_on_declared_n():
+    # Each property walks the cells present, so a huge declared n costs nothing.
+    g = Graph(2, [(0, 1)])
+    start = time.perf_counter()
+    report = check_certificate(g, parse_partition("1000000000 0\n1 1 : 0 1\n"))
+    assert time.perf_counter() - start < 1
+    assert report == check_certificate(g, parse_partition("1000 0\n1 1 : 0 1\n"))
+    assert [c.number for c in report.property_status if not c.holds] == [3]
+    assert report.property_status[2].witness == "V_{1,2} is empty"
+    assert report.bound is None

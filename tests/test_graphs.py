@@ -1,8 +1,12 @@
+import hashlib
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cwkit import graphs
 from cwkit.errors import InputError, ParseError
 from cwkit.graphs import (
     Graph,
@@ -22,7 +26,7 @@ from cwkit.graphs import (
 )
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import graph_named
-from cwkit.witnesses import two_clique_grid, wall
+from cwkit.witnesses import FAMILIES, two_clique_grid, wall
 
 
 def random_graph(rng, n, p=0.4):
@@ -227,11 +231,23 @@ def test_graph6_header_and_errors():
         from_graph6("D")  # truncated body
     with pytest.raises(ParseError):
         from_graph6("D\x1f\x1f")  # bytes below 63
+    with pytest.raises(ParseError, match=r"^invalid graph6 byte 32$"):
+        from_graph6("D a")
+
+
+def test_graph6_padding_bits_are_not_edges(monkeypatch):
+    # "A`": n = 2 and one body byte, 33 = the pair (0,1) plus a padding bit;
+    # the padding bit counts neither as an edge nor against the edge ceiling
+    monkeypatch.setattr(graphs, "EDGE_CAP", 1)
+    assert from_graph6("A`") == Graph(2, [(0, 1)])
 
 
 def test_graph6_large_n():
     big = Graph(80, [(0, 79), (1, 2)])
     assert from_graph6(to_graph6(big)) == big
+    # refused before the body buffer, n(n-1)/12 bytes, is allocated
+    with pytest.raises(InputError, match="at most 258047 vertices"):
+        to_graph6(Graph(258048))
 
 
 def test_edge_list_round_trip():
@@ -241,3 +257,54 @@ def test_edge_list_round_trip():
         from_edge_list("not a header\n")
     with pytest.raises(ParseError):
         from_edge_list("2 1\n")  # declared edge missing
+
+
+@pytest.mark.parametrize(
+    "family, k, digest",
+    [
+        # n > 62, so each string starts with the four-byte size field
+        ("grid", 40, "f2a6167420109af085c88b8da7e558bc1049ff585a8a6ada33f0c27213d1a3a1"),
+        ("thm5G", 30, "f0c49bd49dd62c14ea5fdb7852903c16d416dc247f1fb910da624906af08a25f"),
+        ("thm4G", 16, "8fc8e2aee2a3b0a576fa2c8ee0dc561d2a8b6865551ddf1c17e1fec78d784323"),
+    ],
+)
+def test_graph6_large_strings_pinned(family, k, digest):
+    # Recorded from the encoder that formatted every pair as a text bit.
+    g = FAMILIES[family].build(k)[0]
+    text = to_graph6(g)
+    assert text.startswith("~") and hashlib.sha256(text.encode()).hexdigest() == digest
+    assert from_graph6(text) == g
+
+
+def test_construction_error_messages():
+    # The first self-loop in input order wins over an earlier out-of-range edge.
+    with pytest.raises(InputError, match=r"^self-loop at vertex 1 is not allowed$"):
+        Graph(3, [(0, 5), (1, 1)])
+    with pytest.raises(InputError, match=r"^edge \(2,3\) has an endpoint outside 0\.\.2$"):
+        Graph(3, ((u, u + 1) for u in range(3)))
+    # a generator is consumed once
+    g = Graph(4, ((u, u + 1) for u in range(3)))
+    assert g.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+    assert g.adj == (0b10, 0b101, 0b1010, 0b100)
+
+
+@st.composite
+def st_graphs(draw):
+    n = draw(st.integers(0, 80))
+    if n < 2:
+        return Graph(n)
+    # (u, d) with 0 < d < n names the edge {u, u + d mod n}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    return Graph(n, draw(st.lists(pairs.map(lambda e: (e[0], (e[0] + e[1]) % n)), max_size=4 * n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st_graphs())
+def test_graph6_round_trip_property(g):
+    assert from_graph6(to_graph6(g)) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st_graphs())
+def test_edge_list_round_trip_property(g):
+    assert from_edge_list(to_edge_list(g)) == g
