@@ -37,7 +37,9 @@ def _self_loop(v: int):
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u) if u > v else _self_loop(u)
+    if u == v:
+        _self_loop(u)
+    return (u, v) if u < v else (v, u)
 
 
 class Graph:
@@ -61,17 +63,12 @@ class Graph:
         # The first self-loop in input order raises while the set is built.
         norm = frozenset([(u, v) if u < v else (v, u) if u > v else _self_loop(u) for u, v in edges])
         adj = [0] * n
-        try:
-            for u, v in norm:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        except (IndexError, TypeError, ValueError):
-            # An endpoint outside 0..n-1 fails an index or a shift; report
-            # the first such edge in set order, or re-raise.
-            for u, v in norm:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InputError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}") from None
-            raise
+        for u, v in norm:
+            # u < v, so two comparisons bound both endpoints before any shift.
+            if u < 0 or v >= n:
+                raise InputError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", norm)
         object.__setattr__(self, "names", dict(names) if names else None)

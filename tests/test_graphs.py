@@ -282,6 +282,13 @@ def test_construction_error_messages():
         Graph(3, [(0, 5), (1, 1)])
     with pytest.raises(InputError, match=r"^edge \(2,3\) has an endpoint outside 0\.\.2$"):
         Graph(3, ((u, u + 1) for u in range(3)))
+    # A huge endpoint is refused before any shift could allocate for it.
+    with pytest.raises(InputError, match=r"^edge \(0,100000000000\) has an endpoint outside 0\.\.2$"):
+        from_edge_list("3 1\n0 100000000000\n")
+    with pytest.raises(InputError, match=r"^edge \(0,10{30}\) has an endpoint outside 0\.\.2$"):
+        Graph(3, [(0, 10**30)])
+    with pytest.raises(InputError, match=r"^edge \(-1,2\) has an endpoint outside 0\.\.2$"):
+        Graph(3, [(2, -1)])
     # a generator is consumed once
     g = Graph(4, ((u, u + 1) for u in range(3)))
     assert g.edges == frozenset({(0, 1), (1, 2), (2, 3)})
