@@ -20,12 +20,16 @@ Both rule tables run on one engine.  A graph's facts are a set of string
 tokens (``<=P4``: an induced subgraph of P4; ``>=K1_3``: contains the claw;
 flags such as ``not-in-S``), computed once per graph by ``cw_facts`` or
 ``colouring_facts``; the pair rules also read the complement's tokens with a
-``co `` prefix.  A rule is data: two token sets, one per position, each
-holding when it meets the graph's facts.  ``rule_sides`` compiles a graph's
-facts to bitmasks of the rules whose left and whose right side hold, and
-``fire`` ORs them over the members.  The earliest rule in table order that
-fires on the first member to fire gives the verdict; rules of opposite
-statuses firing together are an internal error that names every fired rule.
+``co `` prefix.  The facts come from the rule rows: each table computes
+exactly the tokens its rows name, so adding a fact means writing its token in
+a rule, and a new flag's predicate goes in ``_FLAGS``.  One evaluator,
+``_holds``, decides every token.  A rule is data: two token sets, one per
+position, each holding when it meets the graph's facts.  ``rule_sides``
+compiles a graph's facts to bitmasks of the rules whose left and whose right
+side hold, and ``fire`` ORs them over the members.  The earliest rule in
+table order that fires on the first member to fire gives the verdict; rules
+of opposite statuses firing together are an internal error that names every
+fired rule.
 
 Every verdict carries the rule identifier, the pair member that matched, and
 a citation anchor naming the mathematical source of the rule.
@@ -42,13 +46,7 @@ from .errors import InputError, InvariantViolation
 from .graphs import Graph, complement, induced_subgraph, to_graph6
 from .isomorphism import CANONICAL_CAP, canonical_key, is_isomorphic
 from .names import format_name, graph_named, recognize
-from .patterns import (
-    has_induced,
-    has_induced_cycle_at_least,
-    in_class_S,
-    is_planar,
-    shape_tests,
-)
+from .patterns import has_induced, has_induced_cycle_at_least, in_class_S, is_planar
 
 __all__ = [
     "Status",
@@ -100,42 +98,10 @@ def display_name(g: Graph) -> str:
     return f"graph6:{to_graph6(g)}"
 
 
-# -- pattern catalog -------------------------------------------------------
-
-_DOWN = (
-    "P4",
-    "P1+P3",
-    "2P1+P2",
-    "P1+P4",
-    "4P1",
-    "K1_3",
-    "2P1+P3",
-    "3P1+P2",
-    "P2+P3",
-    "P5",
-    "K1_3+3P1",
-    "K1_3+P2",
-    "P1+S_1_1_2",
-    "P6",
-    "S_1_1_3",
-)
-_UP = (
-    "K1_3",
-    "2P2",
-    "4P1",
-    "P1+P4",
-    "P2+P4",
-    "2P1+P2",
-    "5P1",
-    "P6",
-    "3P1",
-    "2P1+2P2",
-    "2P1+P4",
-    "4P1+P2",
-    "3P2",
-    "2P3",
-    "3P1+P2",
-)
+# -- facts ------------------------------------------------------------------
+#
+# A fact token is ``<=X`` (the graph is an induced subgraph of X), ``>=X`` (X
+# is an induced subgraph of the graph) or the name of a flag in _FLAGS.
 
 
 @lru_cache(maxsize=None)
@@ -143,27 +109,67 @@ def _pattern(name: str) -> Graph:
     return graph_named(name)
 
 
-_FACTS_CACHE: dict[Graph, frozenset[str]] = {}
+def _is_forest(g: Graph) -> bool:
+    return len(g.edges) == g.n - len(g.component_masks())
 
 
+def _is_complete(g: Graph) -> bool:
+    return g.n >= 1 and len(g.edges) == g.n * (g.n - 1) // 2
+
+
+def _has_cycle_at_least(g: Graph, length: int) -> bool:
+    # a forest skips the exponential probe
+    return not _is_forest(g) and has_induced_cycle_at_least(g, length, max_vertices=g.n)
+
+
+_FLAGS: dict[str, Callable[[Graph], bool]] = {
+    "not-in-S": lambda g: not in_class_S(g),
+    "edgeless": lambda g: not g.edges,
+    "complete": _is_complete,
+    "has-cycle": lambda g: not _is_forest(g),
+    "has-cycle>=4": lambda g: _has_cycle_at_least(g, 4),
+    "has-cycle>=5": lambda g: _has_cycle_at_least(g, 5),
+    "co-has-cycle>=6": lambda g: _has_cycle_at_least(complement(g), 6),
+    "matching": lambda g: g.max_degree() <= 1,
+    "isolates-plus-P5-part": lambda g: (
+        _holds("<=P5", induced_subgraph(g, [v for v in range(g.n) if g.adj[v]]))
+    ),
+    "clique>=4": lambda g: g.n >= 4 and _is_complete(g),
+    "at-most-one-edge": lambda g: len(g.edges) <= 1,
+    "co-at-most-one-edge": lambda g: g.n * (g.n - 1) // 2 - len(g.edges) <= 1,
+    "is-2P2": lambda g: is_isomorphic(g, _pattern("2P2")),
+    "small-forest-not-K1_5": lambda g: (
+        _is_forest(g) and g.n <= 6 and not is_isomorphic(g, _pattern("K1_5"))
+    ),
+    "is-K1_3+3P1": lambda g: is_isomorphic(g, _pattern("K1_3+3P1")),
+}
+
+
+def _holds(token: str, g: Graph) -> bool:
+    """Whether the fact token holds for g."""
+    if token.startswith("<="):
+        return has_induced(_pattern(token[2:]), g)
+    if token.startswith(">="):
+        return has_induced(g, _pattern(token[2:]))
+    return _FLAGS[token](g)
+
+
+def _table_tokens(rules: tuple[Rule, ...]) -> tuple[str, ...]:
+    """The fact tokens a table's rows read of one graph, ``co `` stripped."""
+    sides = [side for rule in rules for side in (rule.left, rule.right) if side]
+    return tuple(sorted({t.removeprefix("co ") for side in sides for t in side}))
+
+
+@lru_cache(maxsize=None)
 def cw_facts(g: Graph) -> frozenset[str]:
-    """The graph's fact tokens for the pair rules: ``<=X`` when it is an
-    induced subgraph of X, ``>=X`` when X is an induced subgraph of it,
-    ``not-in-S``, ``edgeless`` and ``complete``."""
-    cached = _FACTS_CACHE.get(g)
-    if cached is not None:
-        return cached
-    facts = {f"<={x}" for x in _DOWN if has_induced(_pattern(x), g)}
-    facts |= {f">={x}" for x in _UP if has_induced(g, _pattern(x))}
-    shp = shape_tests(g)
-    if not in_class_S(g):
-        facts.add("not-in-S")
-    if shp.is_edgeless:
-        facts.add("edgeless")
-    if shp.is_complete:
-        facts.add("complete")
-    _FACTS_CACHE[g] = frozenset(facts)
-    return _FACTS_CACHE[g]
+    """The graph's fact tokens for the pair rules."""
+    return frozenset(t for t in _PAIR_TOKENS if _holds(t, g))
+
+
+@lru_cache(maxsize=None)
+def colouring_facts(g: Graph) -> frozenset[str]:
+    """The graph's fact tokens for the colouring rules."""
+    return frozenset(t for t in _COLOURING_TOKENS if _holds(t, g))
 
 
 def pair_facts(g: Graph, co: Graph) -> frozenset[str]:
@@ -227,6 +233,7 @@ PAIR_RULES: tuple[Rule, ...] = (
     Rule("U7", Status.UNBOUNDED, {">=4P1"}, {"co >=P1+P4", "co >=3P1+P2"},
          "simple path encodings [KS12, Sc15] and [DGP14]"),
 )
+_PAIR_TOKENS = _table_tokens(PAIR_RULES)
 
 
 def _status_bits(rules: tuple[Rule, ...], status: Status) -> int:
@@ -468,91 +475,12 @@ def classify_relation(family: list[Graph], relation: str) -> Verdict:
 
 # -- colouring table --------------------------------------------------------
 
-_COL_GE = (
-    "K1_3",
-    "K1_4",
-    "K1_5",
-    "K3",
-    "K4",
-    "bull",
-    "diamond",
-    "C3+P1",
-    "C4+P1",
-    "P22",
-)
-_COL_LE = (
-    "P1+P3",
-    "P4",
-    "K1_3",
-    "bull",
-    "hammer",
-    "P5",
-    "paw",
-    "gem",
-    "co(P5)",
-    "2P1+P2",
-    "co(3P1+P2)",
-    "co(2P1+P3)",
-    "diamond",
-    "3P1+P2",
-    "2P1+P3",
-    "4P1",
-    "C4",
-    "P1+P4",
-)
-_SPANNING_2P2 = ("2P2", "2P1+P2", "4P1")
-
-
-_COL_CACHE: dict[Graph, frozenset[str]] = {}
-
-
-def colouring_facts(g: Graph) -> frozenset[str]:
-    """The graph's fact tokens for the colouring rules: ``<=X`` and ``>=X``
-    as in ``cw_facts``, over the colouring catalogue, and the flags below."""
-    cached = _COL_CACHE.get(g)
-    if cached is not None:
-        return cached
-    facts = {f"<={x}" for x in _COL_LE if has_induced(_pattern(x), g)}
-    facts |= {f">={x}" for x in _COL_GE if has_induced(g, _pattern(x))}
-    shp = shape_tests(g)
-    co = complement(g)
-    if not shp.is_forest:
-        facts.add("has-cycle")
-        if has_induced_cycle_at_least(g, 4, max_vertices=g.n):
-            facts.add("has-cycle>=4")
-        if has_induced_cycle_at_least(g, 5, max_vertices=g.n):
-            facts.add("has-cycle>=5")
-    if not shape_tests(co).is_forest and has_induced_cycle_at_least(co, 6, max_vertices=co.n):
-        facts.add("co-has-cycle>=6")
-    if any(has_induced(g, _pattern(x)) for x in _SPANNING_2P2):
-        facts.add("spanning-2P2")
-    if g.max_degree() <= 1:
-        facts.add("matching")
-    nontrivial = [v for v in range(g.n) if g.degree(v) > 0]
-    if has_induced(_pattern("P5"), induced_subgraph(g, nontrivial)):
-        facts.add("isolates-plus-P5-part")
-    if shp.is_complete and g.n >= 4:
-        facts.add("clique>=4")
-    if len(g.edges) <= 1:
-        facts.add("at-most-one-edge")
-    if len(co.edges) <= 1:
-        facts.add("co-at-most-one-edge")
-    if is_isomorphic(g, _pattern("2P2")):
-        facts.add("is-2P2")
-    if shp.is_forest and g.n <= 6 and not is_isomorphic(g, _pattern("K1_5")):
-        facts.add("small-forest-not-K1_5")
-    if is_isomorphic(g, _pattern("K1_3+3P1")):
-        facts.add("is-K1_3+3P1")
-    _COL_CACHE[g] = frozenset(facts)
-    return _COL_CACHE[g]
-
-
 COLOURING_RULES: tuple[Rule, ...] = (
     Rule("COL-N1", Status.NP_COMPLETE, {"has-cycle"}, {"has-cycle"},
          "both sides keep some chordless cycle"),
     Rule("COL-N2", Status.NP_COMPLETE, {">=K1_3"}, {">=K1_3"},
          "both sides keep the claw"),
-    Rule("COL-N3", Status.NP_COMPLETE, {"spanning-2P2"}, {"spanning-2P2"},
+    Rule("COL-N3", Status.NP_COMPLETE, {">=2P2", ">=2P1+P2", ">=4P1"}, {">=2P2", ">=2P1+P2", ">=4P1"},
          "both sides keep a spanning subgraph of 2P2 induced"),
     Rule("COL-N4", Status.NP_COMPLETE, {">=bull"}, {">=K1_4"},
          "bull versus K1_4"),
@@ -562,9 +490,10 @@ COLOURING_RULES: tuple[Rule, ...] = (
          "chordless cycle of length >= 4 versus the claw"),
     Rule("COL-N7", Status.NP_COMPLETE, {">=K3"}, {">=P22"},
          "triangle versus the 22-vertex path (constant taken verbatim)"),
-    Rule("COL-N8", Status.NP_COMPLETE, {"has-cycle>=5"}, {"spanning-2P2"},
+    Rule("COL-N8", Status.NP_COMPLETE, {"has-cycle>=5"}, {">=2P2", ">=2P1+P2", ">=4P1"},
          "chordless cycle of length >= 5 versus a spanning subgraph of 2P2"),
-    Rule("COL-N9", Status.NP_COMPLETE, {">=C3+P1", ">=C4+P1", "co-has-cycle>=6"}, {"spanning-2P2"},
+    Rule("COL-N9", Status.NP_COMPLETE, {">=C3+P1", ">=C4+P1", "co-has-cycle>=6"},
+         {">=2P2", ">=2P1+P2", ">=4P1"},
          "cycle-plus-vertex or long anticycle versus a spanning subgraph of 2P2"),
     Rule("COL-N10", Status.NP_COMPLETE, {">=K4", ">=diamond"}, {">=K1_3"},
          "K4 or the diamond versus the claw"),
@@ -593,6 +522,7 @@ COLOURING_RULES: tuple[Rule, ...] = (
     Rule("COL-P12", Status.POLYNOMIAL, {"<=P5"}, {"<=C4", "<=co(2P1+P3)"},
          "P5 versus C4 or co(2P1+P3)"),
 )
+_COLOURING_TOKENS = _table_tokens(COLOURING_RULES)
 NP_COMPLETE_BITS = _status_bits(COLOURING_RULES, Status.NP_COMPLETE)
 POLYNOMIAL_BITS = _status_bits(COLOURING_RULES, Status.POLYNOMIAL)
 

@@ -352,7 +352,9 @@ def from_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER) :]
     if not s:
         raise ParseError("empty graph6 string")
-    raw = s.encode("ascii", errors="replace")
+    if not s.isascii():
+        raise ParseError("graph6 input must be ASCII")
+    raw = s.encode("ascii")
     bad = raw.translate(None, _G6_CHARS)
     if bad:
         raise ParseError(f"invalid graph6 byte {bad[0]}")

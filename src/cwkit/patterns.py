@@ -20,7 +20,6 @@ and raise ``CapacityError`` rather than ever returning a wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .errors import CapacityError, InputError
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 PROBE_CAP = 16
-PLANARITY_SEARCH_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -292,71 +290,17 @@ def shape_tests(g: Graph) -> ShapeReport:
 # -- planarity -----------------------------------------------------------
 
 
-def _disjoint_paths(g: Graph, pairs: list[tuple[int, int]], branch: frozenset[int]) -> bool:
-    """Internally-disjoint paths for all pairs, avoiding branch vertices inside."""
-
-    def rec(i: int, used: int) -> bool:
-        if i == len(pairs):
-            return True
-        a, b = pairs[i]
-
-        def paths(v: int, blocked: int) -> bool:
-            if g.has_edge(v, b) and rec(i + 1, blocked):
-                return True
-            for w in g.neighbors(v):
-                if w == b or w in branch or blocked >> w & 1:
-                    continue
-                if paths(w, blocked | 1 << w):
-                    return True
-            return False
-
-        return paths(a, used)
-
-    return rec(0, 0)
-
-
-def _has_subdivision(g: Graph, model: str) -> bool:
-    """Search for a K5 or K3,3 subdivision with explicit branch vertices."""
-    if model == "K5":
-        cands = [v for v in range(g.n) if g.degree(v) >= 4]
-        for bs in combinations(cands, 5):
-            pairs = [(a, b) for a, b in combinations(bs, 2)]
-            if _disjoint_paths(g, pairs, frozenset(bs)):
-                return True
-        return False
-    cands = [v for v in range(g.n) if g.degree(v) >= 3]
-    for left in combinations(cands, 3):
-        rest = [v for v in cands if v not in left]
-        for right in combinations(rest, 3):
-            if left > tuple(sorted(right)):
-                continue  # (L,R) vs (R,L) symmetry
-            pairs = [(a, b) for a in left for b in right]
-            if _disjoint_paths(g, pairs, frozenset(left) | frozenset(right)):
-                return True
-    return False
-
-
 def is_planar(g: Graph) -> bool:
-    """Exact planarity.
-
-    Small inputs run an Euler-bound prefilter followed by an exhaustive
-    K5/K3,3-subdivision search; larger inputs are handed to networkx's
-    left-right planarity test.
-    """
-    n, m = g.n, len(g.edges)
-    if n >= 3 and m > 3 * n - 6:
+    """Exact planarity by networkx's left-right planarity test."""
+    # Euler's bound rejects a dense graph before it is copied into networkx.
+    if g.n >= 3 and len(g.edges) > 3 * g.n - 6:
         return False
-    if n <= 4:
-        return True
-    if n <= PLANARITY_SEARCH_CAP:
-        return not (_has_subdivision(g, "K5") or _has_subdivision(g, "K33"))
     import networkx as nx
 
     G = nx.Graph()
-    G.add_nodes_from(range(n))
+    G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges)
-    ok, _ = nx.check_planarity(G)
-    return ok
+    return nx.check_planarity(G)[0]
 
 
 # -- induced cycle and path probes ---------------------------------------

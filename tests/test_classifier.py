@@ -5,18 +5,23 @@ import pytest
 
 from cwkit.classifier import (
     COLOURING_OPEN_CASES,
+    COLOURING_RULES,
     OPEN_CASES,
+    PAIR_RULES,
     Status,
     classify_colouring,
     classify_pair,
     classify_relation,
     classify_single,
     display_name,
+    colouring_facts,
     equivalence_class,
+    pair_facts,
+    rule_sides,
 )
 from cwkit.enumeration import nonisomorphic_graphs_upto
 from cwkit.errors import InputError, InvariantViolation
-from cwkit.graphs import complement, from_graph6
+from cwkit.graphs import complement, from_graph6, to_graph6
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import graph_named
 
@@ -170,6 +175,30 @@ def test_colouring_lines_golden_up_to_five_vertices():
     assert len(lines) == 2704
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "5fb990b2e1ea4948955e51748c2dc2b7e6cc7070b862c66890b0343bf56e4ffe"
+
+
+def test_rule_sides_golden_up_to_seven_vertices():
+    # both tables' rule sides of every graph with at most 7 vertices, and of
+    # graphs that reach the facts smaller graphs never show (K1_3+3P1, K1_5,
+    # P22, long induced cycles in the complement)
+    graphs = nonisomorphic_graphs_upto(7) + [
+        graph_named(name) for name in ("P22", "K1_5", "C8", "co(C8)", "co(C6)+P1")
+    ]
+    facts = [(pair_facts(g, complement(g)), colouring_facts(g)) for g in graphs]
+    lines = []
+    for g, (pf, cf) in zip(graphs, facts):
+        pl, pr = rule_sides(PAIR_RULES, pf)
+        cl, cr = rule_sides(COLOURING_RULES, cf)
+        lines.append(f"{to_graph6(g)} {pl} {pr} {cl} {cr}")
+    assert len(lines) == 1257
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "2d72c025540c65dadcd86acee1846eb5f2381fc88b1eeaaf3c032e865b07a723"
+    # every token a row reads both holds and fails somewhere in this set
+    for table, column in ((PAIR_RULES, 0), (COLOURING_RULES, 1)):
+        for rule in table:
+            for token in (rule.left or set()) | (rule.right or set()):
+                holds = {token in f[column] for f in facts}
+                assert holds == {True, False}, (rule.rule_id, token)
 
 
 _COL_N1 = "status=NP-complete rule=COL-N1 matched={} cite=both sides keep some chordless cycle"

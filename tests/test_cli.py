@@ -134,6 +134,21 @@ def test_parse_error_exit_code():
     assert code == 2 and "error" in err
 
 
+def test_non_ascii_graph6_argument_is_a_parse_error():
+    src = os.path.dirname(os.path.dirname(cwkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cwkit", "classify", "single", "Dh\u00e9"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "graph6 input must be ASCII" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_scan_small_and_deterministic():
     code1, out1, _ = invoke("scan", "--max-vertices", "4")
     code2, out2, _ = invoke("scan", "--max-vertices", "4")

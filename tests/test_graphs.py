@@ -233,6 +233,8 @@ def test_graph6_header_and_errors():
         from_graph6("D\x1f\x1f")  # bytes below 63
     with pytest.raises(ParseError, match=r"^invalid graph6 byte 32$"):
         from_graph6("D a")
+    with pytest.raises(ParseError, match=r"^graph6 input must be ASCII$"):
+        from_graph6("Dh\u00e9")  # would read as "Dh?", a 5-vertex graph
 
 
 def test_graph6_padding_bits_are_not_edges(monkeypatch):
