@@ -18,25 +18,27 @@ from typing import Optional
 from .errors import CapacityError
 from .graphs import Graph, _bits
 
-__all__ = ["canonical_key", "find_isomorphism", "is_isomorphic", "refine_colours"]
+__all__ = ["canonical_key", "find_isomorphism", "graph_of_key", "is_isomorphic", "refine_colours"]
 
 CANONICAL_CAP = 16
 
 
 def refine_colours(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Stable colour refinement; colours are isomorphism-invariant ints."""
-    colours = [adj[v].bit_count() for v in range(n)]
+    nbrs = [_bits(adj[v]) for v in range(n)]
+    colours = [len(nbr) for nbr in nbrs]
+    classes = len(set(colours))
     while True:
-        sigs = []
-        for v in range(n):
-            nbr = sorted(colours[u] for u in _bits(adj[v]))
-            sigs.append((colours[v], tuple(nbr)))
+        sigs = [(colours[v], tuple(sorted([colours[u] for u in nbr]))) for v, nbr in enumerate(nbrs)]
         order = sorted(set(sigs))
         relabel = {s: i for i, s in enumerate(order)}
         new = [relabel[s] for s in sigs]
-        if new == colours:
-            return tuple(colours)
-        colours = new
+        # A round only splits classes, and ranks the signatures by the old
+        # colour first; once no class splits (or every class is a single
+        # vertex), the next round would return these colours unchanged.
+        if len(order) == classes or len(order) == n:
+            return tuple(new)
+        colours, classes = new, len(order)
 
 
 def canonical_key(g: Graph) -> tuple:
@@ -44,12 +46,15 @@ def canonical_key(g: Graph) -> tuple:
     return canonical_key_adj(g.adj, g.n)
 
 
-def canonical_key_adj(adj: tuple[int, ...], n: int) -> tuple:
+def canonical_key_adj(adj: tuple[int, ...], n: int, colours: Optional[tuple[int, ...]] = None) -> tuple:
+    """The canonical key of the graph with adjacency masks ``adj``; a caller
+    that has already refined it passes ``refine_colours(adj, n)``."""
     if n > CANONICAL_CAP:
         raise CapacityError(f"canonical form supports at most {CANONICAL_CAP} vertices, got {n}")
     if n <= 1:
         return (n,)
-    colours = refine_colours(adj, n)
+    if colours is None:
+        colours = refine_colours(adj, n)
     # Position blocks: vertices of equal colour are interchangeable; the
     # block order (by colour) is itself isomorphism-invariant.
     by_colour: dict[int, list[int]] = {}
@@ -119,6 +124,14 @@ def canonical_key_adj(adj: tuple[int, ...], n: int) -> tuple:
     rec(0, True)
     assert best is not None
     return (n, tuple(best))
+
+
+def graph_of_key(key: tuple) -> Graph:
+    """The graph a canonical key encodes: row i of ``(n, rows)`` holds vertex
+    i's adjacency to vertices 0..i-1, vertex 0 in its highest bit."""
+    n = key[0]
+    rows = key[1] if n > 1 else ()
+    return Graph(n, [(j, i) for i, row in enumerate(rows) for j in range(i) if row >> (i - 1 - j) & 1])
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:

@@ -40,7 +40,7 @@ from typing import Iterator, NamedTuple
 
 from .classifier import BOUNDED_BITS, PAIR_RULES, UNBOUNDED_BITS, Status, display_name
 from .classifier import fire, open_case, pair_class, pair_facts, rule_sides
-from .enumeration import nonisomorphic_graphs_upto
+from .enumeration import canonical_keys_upto, nonisomorphic_graphs_upto
 from .graphs import Graph, complement
 from .isomorphism import canonical_key
 from .names import graph_named
@@ -148,9 +148,9 @@ def _fired_rows(cat: _Catalogue) -> Iterator[tuple[int, list[int]]]:
 def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
     t = perf_counter()
     graphs = nonisomorphic_graphs_upto(max_vertices)
+    keys = canonical_keys_upto(max_vertices)
     clock["enumerate"] = perf_counter() - t
     t = perf_counter()
-    keys = [canonical_key(g) for g in graphs]
     ids = {k: i for i, k in enumerate(keys)}
     co = [ids[canonical_key(complement(g))] for g in graphs]
     # K3 and the paw swap only when both are in range.

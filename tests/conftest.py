@@ -6,11 +6,23 @@ against something that is obviously correct.
 """
 
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
-from cwkit.graphs import Graph
+from cwkit.graphs import Graph, from_graph6
 from cwkit.names import graph_named
+
+FROZEN_GRAPHS = Path(__file__).with_name("graphs_upto_7.g6")
+
+
+def frozen_graphs(count: int = 1252) -> list[Graph]:
+    """The first ``count`` of the 1,252 graphs with 1..7 vertices in
+    ``graphs_upto_7.g6``: the representatives the enumeration listed before
+    it moved to canonical augmentation, frozen with their labels so that
+    goldens over labelled output keep their inputs."""
+    lines = FROZEN_GRAPHS.read_text(encoding="ascii").split()
+    return [from_graph6(line) for line in lines[:count]]
 
 
 @pytest.fixture(scope="session")

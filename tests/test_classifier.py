@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import frozen_graphs
 from cwkit.classifier import (
     COLOURING_OPEN_CASES,
     COLOURING_RULES,
@@ -181,7 +182,7 @@ def test_rule_sides_golden_up_to_seven_vertices():
     # both tables' rule sides of every graph with at most 7 vertices, and of
     # graphs that reach the facts smaller graphs never show (K1_3+3P1, K1_5,
     # P22, long induced cycles in the complement)
-    graphs = nonisomorphic_graphs_upto(7) + [
+    graphs = frozen_graphs() + [
         graph_named(name) for name in ("P22", "K1_5", "C8", "co(C8)", "co(C6)+P1")
     ]
     facts = [(pair_facts(g, complement(g)), colouring_facts(g)) for g in graphs]

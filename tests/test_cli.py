@@ -149,6 +149,25 @@ def test_non_ascii_graph6_argument_is_a_parse_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_scan_negative_budget_is_an_input_error():
+    src = os.path.dirname(os.path.dirname(cwkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cwkit", "scan", "--max-vertices=-1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "vertex count must be non-negative, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # a budget of 0 still scans the empty catalogue
+    code, out, _ = invoke("scan", "--max-vertices", "0")
+    assert code == 0
+    assert out.startswith("scanned unordered pairs over graphs with <= 0 vertices: 0\n")
+
+
 def test_scan_small_and_deterministic():
     code1, out1, _ = invoke("scan", "--max-vertices", "4")
     code2, out2, _ = invoke("scan", "--max-vertices", "4")

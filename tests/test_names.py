@@ -1,7 +1,13 @@
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cwkit.classifier import display_name
+from cwkit.enumeration import nonisomorphic_graphs_upto
 from cwkit.errors import InputError, ParseError
-from cwkit.graphs import Graph, complement, disjoint_union, to_graph6
+from cwkit.graphs import Graph, complement, disjoint_union, from_graph6, to_graph6
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import (
     Complement,
@@ -154,3 +160,27 @@ def test_sum_matches_repeated_disjoint_union(text, parts):
     assert got.edges == want.edges
     assert got.names == want.names
     assert to_graph6(got) == to_graph6(want)
+
+
+@lru_cache(maxsize=None)
+def _graphs_upto_seven() -> tuple[Graph, ...]:
+    return tuple(nonisomorphic_graphs_upto(7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_display_name_ignores_labels(data):
+    # the scan names each class by its representative, so a name must not
+    # depend on how that representative is labelled
+    g = data.draw(st.sampled_from(_graphs_upto_seven()))
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    name = display_name(g)
+    if name.startswith("graph6:"):
+        # unrecognised either way; the graph6 spells the labelled graph
+        assert display_name(h) == f"graph6:{to_graph6(h)}"
+        assert is_isomorphic(from_graph6(name.removeprefix("graph6:")), h)
+    else:
+        assert display_name(h) == name
+        assert format_name(parse_name(name)) == name
+        assert is_isomorphic(graph_named(name), g)
