@@ -6,10 +6,10 @@ ids.  The scan doubles as the consistency harness: it reports any pair on
 which a bounded rule and an unbounded rule both fire, and any pair that
 neither matches a rule nor is equivalent to a listed open case.
 
-The pairs are decided a row at a time.  A pair's class is closed under
-complementing both graphs and under swapping K3 with the paw at either
-position.  The swap acts on one position at a time, and so does its
-conjugate by complementation (3P1 with P1+P3), so the class of (i, j) is
+A pair's class is closed under complementing both graphs and under swapping
+K3 with the paw at either position.  The swap acts on one position at a
+time, and so does its conjugate by complementation (3P1 with P1+P3), so the
+class of (i, j) is
 
     orbit(i) x orbit(j)  united with  orbit(co i) x orbit(co j),
 
@@ -21,15 +21,24 @@ orbit (its orbit sides), rule r fires on the class of (i, j) exactly when
 
     L_r(i) R_r(j)  or  L_r(j) R_r(i)  or  L_r(co i) R_r(co j)  or  L_r(co j) R_r(co i).
 
-With four bitsets over graph ids per rule (own left, own right,
-complement's left, complement's right), the ids j whose pair with i fires r
-are the OR of at most four of them, chosen by i's own and its complement's
-sides.  The pairs on which no rule fires (the open-case lookup) and those on
-which both statuses fire (the conflicts) go through the shared pair kernel
-``classify_pair`` uses (``pair_class``, ``fire`` and ``open_case``); over a
+So a pair's fired rules depend only on each graph's signature: its orbit
+sides followed by its complement's.  The graphs fall into far fewer
+signature classes than there are graphs (683 classes for the 13,598 graphs
+with at most 8 vertices), and for classes A and B with signatures
+(lA, rA, lcA, rcA) and (lB, rB, lcB, rcB) every pair across them fires
+
+    lA & rB  |  lB & rA  |  lcA & rcB  |  lcB & rcA.
+
+Each unordered pair of classes stands for |A|·|B| unordered pairs of graph
+ids, or s(s+1)/2 when a class of size s is paired with itself; these
+weights, summed per fired bitmask into one histogram, give the Bounded and
+Unbounded counts and every rule's fire count.  Only where no rule fires
+(the open-case lookup) or both statuses fire (the conflicts) are a class
+pair's graph-id pairs listed; sorted, they go through the shared pair kernel
+``classify_pair`` uses (``pair_class``, ``fire`` and ``open_case``).  Over a
 whole class ``fire`` gives the same bits with orbit sides as with a graph's
 own.  Every open line and every conflict therefore comes from that kernel,
-and the row sets only count.
+and the class pairs only count.
 """
 
 from __future__ import annotations
@@ -99,50 +108,29 @@ class _Catalogue(NamedTuple):
         return pair_class(i, j, int, self.co.__getitem__, self.partner.get)
 
 
-def _bitset(ids, n: int) -> int:
-    """The int with bit j set for every j in ids, all below n."""
-    buf = bytearray(n // 8 + 1)
-    for j in ids:
-        buf[j >> 3] |= 1 << (j & 7)
-    return int.from_bytes(buf, "little")
+def _class_pairs(cat: _Catalogue) -> Iterator[tuple[list[int], list[list[int]], int, int]]:
+    """Per signature class A, the classes B (A itself, then the later ones)
+    grouped by the rules f fired on every pair across A and B; per group,
+    A's ids, the group's id lists, f and the group's unordered pairs."""
+    classes: dict[tuple[int, int, int, int], list[int]] = {}
+    for i, c in enumerate(cat.co):
+        classes.setdefault(cat.sides[i] + cat.sides[c], []).append(i)
+    sigs = list(classes.items())
+    for a, ((la, ra, lca, rca), ids) in enumerate(sigs):
+        by_fired: dict[int, list[list[int]]] = {}
+        for (lb, rb, lcb, rcb), other in sigs[a:]:
+            by_fired.setdefault(la & rb | lb & ra | lca & rcb | lcb & rca, []).append(other)
+        s = len(ids)
+        for fired, group in by_fired.items():
+            # A with itself, first in its group, has s(s+1)/2 pairs, not s*s
+            weight = s * sum(map(len, group)) - (s * (s - 1) // 2 if group[0] is ids else 0)
+            yield ids, group, fired, weight
 
 
-def _columns(cat: _Catalogue) -> list[tuple[int, int, int, int]]:
-    """Per rule, the ids whose own left side, own right side, complement's
-    left side and complement's right side hold."""
-    n = len(cat.graphs)
-    out = []
-    for r in range(len(PAIR_RULES)):
-        left = [j for j, (lj, _) in enumerate(cat.sides) if lj >> r & 1]
-        right = [j for j, (_, rj) in enumerate(cat.sides) if rj >> r & 1]
-        co_left = [j for j, c in enumerate(cat.co) if cat.sides[c][0] >> r & 1]
-        co_right = [j for j, c in enumerate(cat.co) if cat.sides[c][1] >> r & 1]
-        out.append((_bitset(left, n), _bitset(right, n), _bitset(co_left, n), _bitset(co_right, n)))
-    return out
-
-
-def _fired_rows(cat: _Catalogue) -> Iterator[tuple[int, list[int]]]:
-    """Per row i, per rule r, the bitset of ids j >= i whose pair with i
-    fires r."""
-    cols = _columns(cat)
-    everything = (1 << len(cat.graphs)) - 1
-    for i in range(len(cat.graphs)):
-        li, ri = cat.sides[i]
-        lc, rc = cat.sides[cat.co[i]]
-        above = everything >> i << i
-        sets = []
-        for r, (own_l, own_r, co_l, co_r) in enumerate(cols):
-            s = 0
-            if li >> r & 1:
-                s |= own_r
-            if ri >> r & 1:
-                s |= own_l
-            if lc >> r & 1:
-                s |= co_r
-            if rc >> r & 1:
-                s |= co_l
-            sets.append(s & above)
-        yield i, sets
+def _id_pairs(ids: list[int], other: list[int]) -> list[tuple[int, int]]:
+    """The unordered pairs (i, j), i <= j, with one id from each list; a
+    class paired with itself is passed as the same list twice."""
+    return [(min(i, j), max(i, j)) for i in ids for j in other if ids is not other or i <= j]
 
 
 def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
@@ -179,46 +167,38 @@ def scan_pairs(max_vertices: int = 7) -> ScanResult:
     counts = {s.value: 0 for s in (Status.BOUNDED, Status.UNBOUNDED, Status.OPEN)}
     open_pairs: list[tuple[str, str, str]] = []
     conflicts: list[str] = []
-    fires = [0] * len(PAIR_RULES)
     t = perf_counter()
-    in_rows = 0.0  # fallback time spent inside the row loop
-    everything = (1 << len(graphs)) - 1
-    for i, sets in _fired_rows(cat):
-        bounded = unbounded = 0
-        for r, s in enumerate(sets):
-            if s:
-                fires[r] += s.bit_count()
-                if BOUNDED_BITS >> r & 1:
-                    bounded |= s
-                else:
-                    unbounded |= s
-        both = bounded & unbounded
-        counts[Status.BOUNDED.value] += (bounded ^ both).bit_count()
-        counts[Status.UNBOUNDED.value] += (unbounded ^ both).bit_count()
-        rest = (everything >> i << i) & ~(bounded | unbounded) | both
-        if not rest:
-            continue
-        t_rest = perf_counter()
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            members = cat.pair_class(i, j)
-            fired, _ = fire(members, cat.sides.__getitem__)
-            if fired & BOUNDED_BITS and fired & UNBOUNDED_BITS:
-                conflicts.append(f"bounded and unbounded rules both fire on {where(i, j)}")
-            elif fired:
-                counts[(Status.BOUNDED if fired & BOUNDED_BITS else Status.UNBOUNDED).value] += 1
-            elif case := open_case(members, cat.keys.__getitem__):
-                counts[Status.OPEN.value] += 1
-                open_pairs.append((display_name(graphs[i]), display_name(graphs[j]), case[0]))
-            else:
-                conflicts.append(f"no rule and no open case matches {where(i, j)}")
-        in_rows += perf_counter() - t_rest
-    clock["kernel"] = perf_counter() - t - in_rows
-    clock["fallback"] = in_rows
+    weights: dict[int, int] = {}  # fired rules -> unordered pairs of graph ids
+    undecided: list[tuple[int, int]] = []
+    for ids, group, fired, weight in _class_pairs(cat):
+        weights[fired] = weights.get(fired, 0) + weight
+        if not fired or fired & BOUNDED_BITS and fired & UNBOUNDED_BITS:
+            undecided += [pair for other in group for pair in _id_pairs(ids, other)]
+    for fired, weight in weights.items():
+        bounded, unbounded = fired & BOUNDED_BITS, fired & UNBOUNDED_BITS
+        if bounded and not unbounded:
+            counts[Status.BOUNDED.value] += weight
+        elif unbounded and not bounded:
+            counts[Status.UNBOUNDED.value] += weight
+    rule_fires = {
+        rule.rule_id: sum(w for fired, w in weights.items() if fired >> r & 1) for r, rule in enumerate(PAIR_RULES)
+    }
+    clock["kernel"] = perf_counter() - t
+    t = perf_counter()
+    for i, j in sorted(undecided):
+        members = cat.pair_class(i, j)
+        fired, _ = fire(members, cat.sides.__getitem__)
+        if fired & BOUNDED_BITS and fired & UNBOUNDED_BITS:
+            conflicts.append(f"bounded and unbounded rules both fire on {where(i, j)}")
+        elif fired:
+            counts[(Status.BOUNDED if fired & BOUNDED_BITS else Status.UNBOUNDED).value] += 1
+        elif case := open_case(members, cat.keys.__getitem__):
+            counts[Status.OPEN.value] += 1
+            open_pairs.append((display_name(graphs[i]), display_name(graphs[j]), case[0]))
+        else:
+            conflicts.append(f"no rule and no open case matches {where(i, j)}")
+    clock["fallback"] = perf_counter() - t
     conflicts.sort()
     total = len(graphs) * (len(graphs) + 1) // 2
-    rule_fires = {rule.rule_id: fires[r] for r, rule in enumerate(PAIR_RULES)}
     phases = {phase: clock[phase] for phase in PHASES}
     return ScanResult(max_vertices, total, counts, open_pairs, conflicts, rule_fires, phases)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -10,7 +11,7 @@ from cwkit.enumeration import _level, nonisomorphic_graphs, nonisomorphic_graphs
 from cwkit.errors import CapacityError
 from cwkit.isomorphism import canonical_key
 from cwkit.names import graph_named
-from cwkit.scan import PHASES, _catalogue, _fired_rows, scan_pairs
+from cwkit.scan import PHASES, _catalogue, _class_pairs, _id_pairs, scan_pairs
 
 
 def test_scan_cross_checks_the_pairwise_classifier():
@@ -69,24 +70,26 @@ def _kernel_fired(cat):
 
 
 def test_row_kernel_matches_pair_kernel():
-    # every unordered pair of graphs with at most 6 vertices, the rows and
-    # columns of K3, the paw and their complements included
+    # every unordered pair of graphs with at most 6 vertices, the pairs of
+    # K3, the paw and their complements included, lies in exactly one pair
+    # of signature classes, whose fired rules are the pair kernel's
     cat = _catalogue(6, {})
     k3, paw = (cat.keys.index(canonical_key(graph_named(name))) for name in ("K3", "paw"))
     assert cat.partner == {k3: paw, paw: k3}
     fired = _kernel_fired(cat)
-    rows = dict(_fired_rows(cat))
-    n = len(cat.graphs)
-    pairs = 0
-    for i in range(n):
-        assert len(rows[i]) == len(PAIR_RULES)
-        for s in rows[i]:
-            assert s >> i << i == s and s >> n == 0, "bits outside j in i..n-1"
-        for j in range(i, n):
-            got = sum(1 << r for r, s in enumerate(rows[i]) if s >> j & 1)
+    seen = set()
+    weights = 0
+    for ids, group, got, weight in _class_pairs(cat):
+        pairs = [pair for other in group for pair in _id_pairs(ids, other)]
+        assert len(pairs) == weight
+        weights += weight
+        for i, j in pairs:
+            assert i <= j and (i, j) not in seen, (i, j)
+            seen.add((i, j))
             assert got == fired(i, j), (i, j)
-            pairs += 1
-    assert pairs == 21736
+    n = len(cat.graphs)
+    assert seen == {(i, j) for i in range(n) for j in range(i, n)}
+    assert len(seen) == weights == scan_pairs(6).pair_count == 21736
 
 
 def test_scan_json_keys_and_rule_fires():
@@ -113,6 +116,41 @@ def test_scan_json_keys_and_rule_fires():
             for r, rule in enumerate(PAIR_RULES):
                 want[rule.rule_id] += fired >> r & 1
     assert doc["rule_fires"] == want
+
+
+# sha256 of scan_pairs(m).report() and of as_dict() without phase_seconds,
+# dumped with sorted keys; recorded from the row-at-a-time kernel
+SCAN_GOLDEN = {
+    0: ("ff3d89a1980be49639ebdf49282a3ca6152a57752a088269b737e8e6e1986759",
+        "73d0932514ed823bdd8bd8345f3ddc60e4dcec50ae2731bb660b9d254974f851"),
+    1: ("717bfb4b01d5d0d341c100b00870be991090e446ebcdbc50b639edd1b0fa2e97",
+        "64980a1e35b5fdad4857cfd620e3d2659585830f1d6b551288e4d5a62b2430a8"),
+    2: ("caa0f43702b2a56f41904c40b68a487f6b9e1a5396089eac591e291eab0fd213",
+        "6b4e7fb8c164c5a8f16a1646213bc83c49b20fe7f0de38bde59d145f207edc50"),
+    3: ("8f3a62eaa04d49e9fe14bf26e86dc846583d4a123374933114dec1ae2a947e11",
+        "63cd152393ecedd0db8a7783aa57b75f0e6bab9e6b25f3b4f46800f6a77c7d8f"),
+    4: ("372b3234e54a9f3f795bf5ed69d269b29c5a96a13fd83af7bfe88d9ed89c296c",
+        "4029903ac8515280967855612860f847fe39a058b563a6667d09764bb2ad4eca"),
+    5: ("2d93d4312fff6fb700c26ec7eb1776788dec57764429f646ce22fd976e12e5a9",
+        "d71a7afb82b4a535b9c25f91f97286fe0a9ff2b9711faf05c0d7eced03fa7fab"),
+    6: ("7e70bc6f077fb4dd4518e57d4b351c63c4516add8af1f44211e633237ad22859",
+        "bd47b4ec868dad3cc8b9280a98a80318f6ebb1e5297ed54c7764631b910d01ba"),
+    7: ("ddcbb6197173e1fd6047e9a4114c5a49187cb142b6c33fffe886bb359f6453b3",
+        "0341b2662221f352089d5a22080893aff62a2317e019f144d857e0fba36e8c12"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(SCAN_GOLDEN))
+def test_scan_output_golden(m):
+    # the whole report and every JSON field but the timings, rule_fires included
+    result = scan_pairs(m)
+    doc = result.as_dict()
+    del doc["phase_seconds"]
+    got = (
+        hashlib.sha256(result.report().encode()).hexdigest(),
+        hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
+    )
+    assert got == SCAN_GOLDEN[m]
 
 
 def test_scan_default_output_is_the_report():
