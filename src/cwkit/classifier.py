@@ -16,17 +16,21 @@ Four classifiers:
   itself in both orderings.  It is not a dichotomy; Unknown is a legal
   outcome.
 
-Both rule tables run on one engine.  A graph's facts are a set of string
-tokens (``<=P4``: an induced subgraph of P4; ``>=K1_3``: contains the claw;
-flags such as ``not-in-S``), computed once per graph by ``cw_facts`` or
-``colouring_facts``; the pair rules also read the complement's tokens with a
-``co `` prefix.  The facts come from the rule rows: each table computes
-exactly the tokens its rows name, so adding a fact means writing its token in
-a rule, and a new flag's predicate goes in ``_FLAGS``.  One evaluator,
-``_holds``, decides every token.  A rule is data: two token sets, one per
-position, each holding when it meets the graph's facts.  ``rule_sides``
-compiles a graph's facts to bitmasks of the rules whose left and whose right
-side hold, and ``fire`` ORs them over the members.  The earliest rule in
+Both rule tables run on one engine.  A rule is data: two tuples of string
+tokens, one per position (``<=P4``: an induced subgraph of P4; ``>=K1_3``:
+contains the claw; flags such as ``not-in-S``); the pair rules also read the
+complement's tokens, written with a ``co `` prefix.  A side holds when one
+of its tokens holds.  Tokens are decided on demand, in the order the table
+writes them, and a side stops at its first token that holds, so a costly
+token is decided only where the cheaper ones before it fail.  One evaluator,
+``_holds``, decides every token: adding a fact means writing its token in a
+rule, and a new flag's predicate goes in ``_FLAGS``.  ``rule_sides`` turns a
+token test into bitmasks of the rules whose left and whose right side hold.
+The per-graph cache holds those bitmasks, so each token of each graph is
+decided at most once per process: ``colouring_facts`` for the colouring
+table, and ``cw_facts`` for the pair table, on the graph's own tokens and
+on its ``co `` tokens, which ``pair_sides`` reads when the graph is the
+complement.  ``fire`` ORs the sides over the members.  The earliest rule in
 table order that fires on the first member to fire gives the verdict; rules
 of opposite statuses firing together are an internal error that names every
 fired rule.
@@ -154,86 +158,78 @@ def _holds(token: str, g: Graph) -> bool:
     return _FLAGS[token](g)
 
 
-def _table_tokens(rules: tuple[Rule, ...]) -> tuple[str, ...]:
-    """The fact tokens a table's rows read of one graph, ``co `` stripped."""
-    sides = [side for rule in rules for side in (rule.left, rule.right) if side]
-    return tuple(sorted({t.removeprefix("co ") for side in sides for t in side}))
+@lru_cache(maxsize=None)
+def cw_facts(g: Graph) -> tuple[int, int, int, int]:
+    """The pair rules' side bitmasks on g: (own_left, own_right, dual_left,
+    dual_right).  The own pair reads g's own tokens, the dual pair the
+    ``co `` tokens decided on g, as they read when g is the complement."""
+    holds = lru_cache(maxsize=None)(lambda t: _holds(t, g))
+    own = rule_sides(PAIR_RULES, lambda t: not t.startswith("co ") and holds(t))
+    dual = rule_sides(PAIR_RULES, lambda t: t.startswith("co ") and holds(t[3:]))
+    return own + dual
+
+
+def pair_sides(g: Graph, co: Graph) -> tuple[int, int]:
+    """Pair rule sides of g, whose complement is co."""
+    own_left, own_right, _, _ = cw_facts(g)
+    _, _, dual_left, dual_right = cw_facts(co)
+    return own_left | dual_left, own_right | dual_right
 
 
 @lru_cache(maxsize=None)
-def cw_facts(g: Graph) -> frozenset[str]:
-    """The graph's fact tokens for the pair rules."""
-    return frozenset(t for t in _PAIR_TOKENS if _holds(t, g))
-
-
-@lru_cache(maxsize=None)
-def colouring_facts(g: Graph) -> frozenset[str]:
-    """The graph's fact tokens for the colouring rules."""
-    return frozenset(t for t in _COLOURING_TOKENS if _holds(t, g))
-
-
-def pair_facts(g: Graph, co: Graph) -> frozenset[str]:
-    """The tokens the pair rules read for g: its own facts, and the facts of
-    its complement ``co`` with a ``co `` prefix."""
-    return cw_facts(g) | {f"co {t}" for t in cw_facts(co)}
+def colouring_facts(g: Graph) -> tuple[int, int]:
+    """The colouring rules' left and right side bitmasks on g."""
+    return rule_sides(COLOURING_RULES, lru_cache(maxsize=None)(lambda t: _holds(t, g)))
 
 
 @dataclass(frozen=True)
 class Rule:
-    """One table row.  Each side holds when the graph's facts share a token
-    with it (None: always); the rule fires on an ordered pair when its left
-    side holds for the first graph and its right side for the second, and it
-    is tested in both orderings."""
+    """One table row.  Each side holds when one of its tokens holds for the
+    graph (None: always), the tokens tried in order; the rule fires on an
+    ordered pair when its left side holds for the first graph and its right
+    side for the second, and it is tested in both orderings."""
 
     rule_id: str
     status: Status
-    left: Optional[frozenset[str]]
-    right: Optional[frozenset[str]]
+    left: Optional[tuple[str, ...]]
+    right: Optional[tuple[str, ...]]
     citation: str
-
-    def __post_init__(self):
-        # the tables write sides as set literals
-        for side in ("left", "right"):
-            tokens = getattr(self, side)
-            if tokens is not None:
-                object.__setattr__(self, side, frozenset(tokens))
 
 
 PAIR_RULES: tuple[Rule, ...] = (
-    Rule("B1", Status.BOUNDED, {"<=P4"}, None,
+    Rule("B1", Status.BOUNDED, ("<=P4",), None,
          "cographs have clique-width at most 2 [CO00]"),
-    Rule("B2", Status.BOUNDED, {"edgeless"}, {"complete"},
+    Rule("B2", Status.BOUNDED, ("edgeless",), ("complete",),
          "Ramsey: forbidding sP1 and Kt bounds the order of every member"),
-    Rule("B3", Status.BOUNDED, {"<=P1+P3"},
-         {"co <=K1_3+3P1", "co <=K1_3+P2", "co <=P1+S_1_1_2", "co <=P6", "co <=S_1_1_3"},
+    Rule("B3", Status.BOUNDED, ("<=P1+P3",),
+         ("co <=K1_3+3P1", "co <=K1_3+P2", "co <=P1+S_1_1_2", "co <=P6", "co <=S_1_1_3"),
          "triangle side via the paw reduction [Olariu 88]; lists from [DLRR12, BKM06] "
          "and the two matching-structure bounds"),
-    Rule("B4", Status.BOUNDED, {"<=2P1+P2"}, {"co <=2P1+P3", "co <=3P1+P2", "co <=P2+P3"},
+    Rule("B4", Status.BOUNDED, ("<=2P1+P2",), ("co <=2P1+P3", "co <=3P1+P2", "co <=P2+P3"),
          "[DHP0]"),
-    Rule("B5", Status.BOUNDED, {"<=P1+P4"}, {"co <=P1+P4", "co <=P5"},
+    Rule("B5", Status.BOUNDED, ("<=P1+P4",), ("co <=P1+P4", "co <=P5"),
          "[BLM04b, BLM04]"),
-    Rule("B6", Status.BOUNDED, {"<=4P1"}, {"co <=2P1+P3"},
+    Rule("B6", Status.BOUNDED, ("<=4P1",), ("co <=2P1+P3",),
          "[BDHP15]"),
-    Rule("B7", Status.BOUNDED, {"<=K1_3"}, {"co <=K1_3"},
+    Rule("B7", Status.BOUNDED, ("<=K1_3",), ("co <=K1_3",),
          "[BL02, BM02]"),
-    Rule("U1", Status.UNBOUNDED, {"not-in-S"}, {"not-in-S"},
+    Rule("U1", Status.UNBOUNDED, ("not-in-S",), ("not-in-S",),
          "k-subdivided walls avoid every family outside class S [LR06]"),
-    Rule("U2", Status.UNBOUNDED, {"co not-in-S"}, {"co not-in-S"},
+    Rule("U2", Status.UNBOUNDED, ("co not-in-S",), ("co not-in-S",),
          "complement of the class-S rule [LR06 with KLM09]"),
-    Rule("U3", Status.UNBOUNDED, {">=K1_3", ">=2P2"}, {"co >=4P1", "co >=2P2"},
+    Rule("U3", Status.UNBOUNDED, (">=K1_3", ">=2P2"), ("co >=4P1", "co >=2P2"),
          "[BELL06] and split graphs [MR99]"),
-    Rule("U4", Status.UNBOUNDED, {">=P1+P4"}, {"co >=P2+P4"},
+    Rule("U4", Status.UNBOUNDED, (">=P1+P4",), ("co >=P2+P4",),
          "two-clique cell-array family: (3P2,P2+P4,P6,co(P1+P4))-free, unbounded"),
-    Rule("U5", Status.UNBOUNDED, {">=2P1+P2"}, {"co >=K1_3", "co >=5P1", "co >=P2+P4", "co >=P6"},
+    Rule("U5", Status.UNBOUNDED, (">=2P1+P2",), ("co >=K1_3", "co >=5P1", "co >=P2+P4", "co >=P6"),
          "[BELL06]; [DGP14]; [DHP0, preprint version only] for the P2+P4 case; "
          "flipped triple-cell family for the P6 case"),
-    Rule("U6", Status.UNBOUNDED, {">=3P1"},
-         {"co >=2P1+2P2", "co >=2P1+P4", "co >=4P1+P2", "co >=3P2", "co >=2P3"},
+    Rule("U6", Status.UNBOUNDED, (">=3P1",),
+         ("co >=2P1+2P2", "co >=2P1+P4", "co >=4P1+P2", "co >=3P2", "co >=2P3"),
          "complements of H-free bipartite graphs [DP14]"),
-    Rule("U7", Status.UNBOUNDED, {">=4P1"}, {"co >=P1+P4", "co >=3P1+P2"},
+    Rule("U7", Status.UNBOUNDED, (">=4P1",), ("co >=P1+P4", "co >=3P1+P2"),
          "simple path encodings [KS12, Sc15] and [DGP14]"),
 )
-_PAIR_TOKENS = _table_tokens(PAIR_RULES)
 
 
 def _status_bits(rules: tuple[Rule, ...], status: Status) -> int:
@@ -279,14 +275,15 @@ OPEN_CASES: tuple[tuple[str, str, str], ...] = _open_cases()
 Node = TypeVar("Node")
 
 
-def rule_sides(rules: tuple[Rule, ...], facts: frozenset[str]) -> tuple[int, int]:
+def rule_sides(rules: tuple[Rule, ...], holds: Callable[[str], bool]) -> tuple[int, int]:
     """Bitmasks of the rules (bit r is ``rules[r]``) whose left and whose
-    right side hold for a graph with the given fact tokens."""
+    right side hold, a side holding at its first token that ``holds``
+    accepts."""
     left = right = 0
     for r, rule in enumerate(rules):
-        if rule.left is None or not rule.left.isdisjoint(facts):
+        if rule.left is None or any(map(holds, rule.left)):
             left |= 1 << r
-        if rule.right is None or not rule.right.isdisjoint(facts):
+        if rule.right is None or any(map(holds, rule.right)):
             right |= 1 << r
     return left, right
 
@@ -376,11 +373,6 @@ def _graph_swap(g: Graph) -> Optional[Graph]:
     return None
 
 
-def _graph_sides(g: Graph, co: Graph) -> tuple[int, int]:
-    """Rule sides of g, whose complement is co."""
-    return rule_sides(PAIR_RULES, pair_facts(g, co))
-
-
 def equivalence_class(h1: Graph, h2: Graph) -> list[tuple[Graph, Graph]]:
     """All unordered pairs reachable by complementing both sides and by
     swapping K3 with the paw at either position, deduplicated up to
@@ -414,11 +406,11 @@ def _first_verdict(rules: tuple[Rule, ...], first: tuple[int, Graph, Graph]) -> 
 
 def classify_pair(h1: Graph, h2: Graph) -> Verdict:
     """Two forbidden induced subgraphs: Bounded, Unbounded, or Open; total."""
-    # The closure complements every member graph and a graph may sit in
-    # several member pairs: complements and rule sides are made once per call.
+    # The closure complements every member graph: complements are made once
+    # per call.
     co = lru_cache(maxsize=None)(complement)
     members = pair_class(h1, h2, lru_cache(maxsize=None)(_graph_key), co, _graph_swap)
-    fired, first = fire(members, lru_cache(maxsize=None)(lambda g: _graph_sides(g, co(g))))
+    fired, first = fire(members, lambda g: pair_sides(g, co(g)))
     if fired & BOUNDED_BITS and fired & UNBOUNDED_BITS:
         raise InvariantViolation(
             f"rules {_fired_ids(PAIR_RULES, fired)} fire together on the class of "
@@ -476,53 +468,52 @@ def classify_relation(family: list[Graph], relation: str) -> Verdict:
 # -- colouring table --------------------------------------------------------
 
 COLOURING_RULES: tuple[Rule, ...] = (
-    Rule("COL-N1", Status.NP_COMPLETE, {"has-cycle"}, {"has-cycle"},
+    Rule("COL-N1", Status.NP_COMPLETE, ("has-cycle",), ("has-cycle",),
          "both sides keep some chordless cycle"),
-    Rule("COL-N2", Status.NP_COMPLETE, {">=K1_3"}, {">=K1_3"},
+    Rule("COL-N2", Status.NP_COMPLETE, (">=K1_3",), (">=K1_3",),
          "both sides keep the claw"),
-    Rule("COL-N3", Status.NP_COMPLETE, {">=2P2", ">=2P1+P2", ">=4P1"}, {">=2P2", ">=2P1+P2", ">=4P1"},
+    Rule("COL-N3", Status.NP_COMPLETE, (">=2P2", ">=2P1+P2", ">=4P1"), (">=2P2", ">=2P1+P2", ">=4P1"),
          "both sides keep a spanning subgraph of 2P2 induced"),
-    Rule("COL-N4", Status.NP_COMPLETE, {">=bull"}, {">=K1_4"},
+    Rule("COL-N4", Status.NP_COMPLETE, (">=bull",), (">=K1_4",),
          "bull versus K1_4"),
-    Rule("COL-N5", Status.NP_COMPLETE, {">=K3"}, {">=K1_5"},
+    Rule("COL-N5", Status.NP_COMPLETE, (">=K3",), (">=K1_5",),
          "triangle versus K1_r, r >= 5"),
-    Rule("COL-N6", Status.NP_COMPLETE, {"has-cycle>=4"}, {">=K1_3"},
+    Rule("COL-N6", Status.NP_COMPLETE, ("has-cycle>=4",), (">=K1_3",),
          "chordless cycle of length >= 4 versus the claw"),
-    Rule("COL-N7", Status.NP_COMPLETE, {">=K3"}, {">=P22"},
+    Rule("COL-N7", Status.NP_COMPLETE, (">=K3",), (">=P22",),
          "triangle versus the 22-vertex path (constant taken verbatim)"),
-    Rule("COL-N8", Status.NP_COMPLETE, {"has-cycle>=5"}, {">=2P2", ">=2P1+P2", ">=4P1"},
+    Rule("COL-N8", Status.NP_COMPLETE, ("has-cycle>=5",), (">=2P2", ">=2P1+P2", ">=4P1"),
          "chordless cycle of length >= 5 versus a spanning subgraph of 2P2"),
-    Rule("COL-N9", Status.NP_COMPLETE, {">=C3+P1", ">=C4+P1", "co-has-cycle>=6"},
-         {">=2P2", ">=2P1+P2", ">=4P1"},
+    Rule("COL-N9", Status.NP_COMPLETE, (">=C3+P1", ">=C4+P1", "co-has-cycle>=6"),
+         (">=2P2", ">=2P1+P2", ">=4P1"),
          "cycle-plus-vertex or long anticycle versus a spanning subgraph of 2P2"),
-    Rule("COL-N10", Status.NP_COMPLETE, {">=K4", ">=diamond"}, {">=K1_3"},
+    Rule("COL-N10", Status.NP_COMPLETE, (">=K4", ">=diamond"), (">=K1_3",),
          "K4 or the diamond versus the claw"),
-    Rule("COL-P1", Status.POLYNOMIAL, {"<=P1+P3", "<=P4"}, None,
+    Rule("COL-P1", Status.POLYNOMIAL, ("<=P1+P3", "<=P4"), None,
          "one side inside P1+P3 or P4"),
-    Rule("COL-P2", Status.POLYNOMIAL, {"<=K1_3"}, {"<=bull", "<=hammer", "<=P5"},
+    Rule("COL-P2", Status.POLYNOMIAL, ("<=K1_3",), ("<=bull", "<=hammer", "<=P5"),
          "claw-side pairs"),
-    Rule("COL-P3", Status.POLYNOMIAL, {"small-forest-not-K1_5", "is-K1_3+3P1"}, {"<=paw"},
+    Rule("COL-P3", Status.POLYNOMIAL, ("small-forest-not-K1_5", "is-K1_3+3P1"), ("<=paw",),
          "small forests (not K1_5) or K1_3+3P1 versus the paw"),
-    Rule("COL-P4", Status.POLYNOMIAL, {"matching", "isolates-plus-P5-part"}, {"clique>=4"},
+    Rule("COL-P4", Status.POLYNOMIAL, ("matching", "isolates-plus-P5-part"), ("clique>=4",),
          "matchings or P5-plus-isolates versus a clique"),
-    Rule("COL-P5", Status.POLYNOMIAL, {"matching", "isolates-plus-P5-part"}, {"<=paw"},
+    Rule("COL-P5", Status.POLYNOMIAL, ("matching", "isolates-plus-P5-part"), ("<=paw",),
          "matchings or P5-plus-isolates versus the paw"),
-    Rule("COL-P6", Status.POLYNOMIAL, {"<=P1+P4", "<=P5"}, {"<=gem"},
+    Rule("COL-P6", Status.POLYNOMIAL, ("<=P1+P4", "<=P5"), ("<=gem",),
          "P1+P4 or P5 versus the gem"),
-    Rule("COL-P7", Status.POLYNOMIAL, {"<=P1+P4", "<=P5"}, {"<=co(P5)"},
+    Rule("COL-P7", Status.POLYNOMIAL, ("<=P1+P4", "<=P5"), ("<=co(P5)",),
          "P1+P4 or P5 versus co(P5)"),
-    Rule("COL-P8", Status.POLYNOMIAL, {"<=2P1+P2"}, {"<=co(3P1+P2)", "<=co(2P1+P3)"},
+    Rule("COL-P8", Status.POLYNOMIAL, ("<=2P1+P2",), ("<=co(3P1+P2)", "<=co(2P1+P3)"),
          "2P1+P2 versus small complements"),
-    Rule("COL-P9", Status.POLYNOMIAL, {"<=diamond"}, {"<=3P1+P2", "<=2P1+P3"},
+    Rule("COL-P9", Status.POLYNOMIAL, ("<=diamond",), ("<=3P1+P2", "<=2P1+P3"),
          "the diamond versus small linear forests"),
-    Rule("COL-P10", Status.POLYNOMIAL, {"at-most-one-edge", "is-2P2"}, {"co-at-most-one-edge"},
+    Rule("COL-P10", Status.POLYNOMIAL, ("at-most-one-edge", "is-2P2"), ("co-at-most-one-edge",),
          "near-edgeless versus near-complete"),
-    Rule("COL-P11", Status.POLYNOMIAL, {"<=4P1"}, {"<=co(2P1+P3)"},
+    Rule("COL-P11", Status.POLYNOMIAL, ("<=4P1",), ("<=co(2P1+P3)",),
          "4P1 versus co(2P1+P3)"),
-    Rule("COL-P12", Status.POLYNOMIAL, {"<=P5"}, {"<=C4", "<=co(2P1+P3)"},
+    Rule("COL-P12", Status.POLYNOMIAL, ("<=P5",), ("<=C4", "<=co(2P1+P3)"),
          "P5 versus C4 or co(2P1+P3)"),
 )
-_COLOURING_TOKENS = _table_tokens(COLOURING_RULES)
 NP_COMPLETE_BITS = _status_bits(COLOURING_RULES, Status.NP_COMPLETE)
 POLYNOMIAL_BITS = _status_bits(COLOURING_RULES, Status.POLYNOMIAL)
 
@@ -546,13 +537,9 @@ COLOURING_OPEN_CASES: tuple[tuple[str, str], ...] = (
 )
 
 
-def _colouring_sides(g: Graph) -> tuple[int, int]:
-    return rule_sides(COLOURING_RULES, colouring_facts(g))
-
-
 def classify_colouring(h1: Graph, h2: Graph) -> Verdict:
     """Colouring complexity for the pair; Unknown when no table row applies."""
-    fired, first = fire([(h1, h2)], _colouring_sides)
+    fired, first = fire([(h1, h2)], colouring_facts)
     if fired & NP_COMPLETE_BITS and fired & POLYNOMIAL_BITS:
         raise InvariantViolation(
             f"colouring rules {_fired_ids(COLOURING_RULES, fired)} fire together on "

@@ -48,7 +48,7 @@ from time import perf_counter
 from typing import Iterator, NamedTuple
 
 from .classifier import BOUNDED_BITS, PAIR_RULES, UNBOUNDED_BITS, Status, display_name
-from .classifier import fire, open_case, pair_class, pair_facts, rule_sides
+from .classifier import fire, open_case, pair_class, pair_sides
 from .enumeration import canonical_keys_upto, nonisomorphic_graphs_upto
 from .graphs import Graph, complement
 from .isomorphism import canonical_key
@@ -147,7 +147,7 @@ def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
     partner = {k3: paw, paw: k3} if k3 is not None and paw is not None else {}
     clock["keys"] = perf_counter() - t
     t = perf_counter()
-    sides = [rule_sides(PAIR_RULES, pair_facts(g, graphs[co[i]])) for i, g in enumerate(graphs)]
+    sides = [pair_sides(g, graphs[co[i]]) for i, g in enumerate(graphs)]
     # orbit sides: each orbit's two members share their ORed sides
     for a, b in ((k3, paw), (co[k3], co[paw])) if partner else ():
         sides[a] = sides[b] = (sides[a][0] | sides[b][0], sides[a][1] | sides[b][1])

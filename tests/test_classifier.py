@@ -5,6 +5,8 @@ import pytest
 
 from conftest import frozen_graphs
 from cwkit.classifier import (
+    _FLAGS,
+    _holds,
     COLOURING_OPEN_CASES,
     COLOURING_RULES,
     OPEN_CASES,
@@ -17,8 +19,7 @@ from cwkit.classifier import (
     display_name,
     colouring_facts,
     equivalence_class,
-    pair_facts,
-    rule_sides,
+    pair_sides,
 )
 from cwkit.enumeration import nonisomorphic_graphs_upto
 from cwkit.errors import InputError, InvariantViolation
@@ -185,21 +186,50 @@ def test_rule_sides_golden_up_to_seven_vertices():
     graphs = frozen_graphs() + [
         graph_named(name) for name in ("P22", "K1_5", "C8", "co(C8)", "co(C6)+P1")
     ]
-    facts = [(pair_facts(g, complement(g)), colouring_facts(g)) for g in graphs]
     lines = []
-    for g, (pf, cf) in zip(graphs, facts):
-        pl, pr = rule_sides(PAIR_RULES, pf)
-        cl, cr = rule_sides(COLOURING_RULES, cf)
+    for g in graphs:
+        pl, pr = pair_sides(g, complement(g))
+        cl, cr = colouring_facts(g)
         lines.append(f"{to_graph6(g)} {pl} {pr} {cl} {cr}")
     assert len(lines) == 1257
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "2d72c025540c65dadcd86acee1846eb5f2381fc88b1eeaaf3c032e865b07a723"
-    # every token a row reads both holds and fails somewhere in this set
-    for table, column in ((PAIR_RULES, 0), (COLOURING_RULES, 1)):
-        for rule in table:
-            for token in (rule.left or set()) | (rule.right or set()):
-                holds = {token in f[column] for f in facts}
-                assert holds == {True, False}, (rule.rule_id, token)
+    # every token a row reads both holds and fails somewhere in this set; a
+    # ``co `` token is decided on the complement
+    for table in (PAIR_RULES, COLOURING_RULES):
+        tokens = {t for rule in table for side in (rule.left, rule.right) if side for t in side}
+        for token in sorted(tokens):
+            if token.startswith("co "):
+                holds = {_holds(token[3:], complement(g)) for g in graphs}
+            else:
+                holds = {_holds(token, g) for g in graphs}
+            assert holds == {True, False}, token
+
+
+def test_rule_sides_are_tuples_of_distinct_tokens():
+    # a side is tried in written order; a repeated token would be a typo
+    # that sets no longer absorb
+    for rule in PAIR_RULES + COLOURING_RULES:
+        for side in (rule.left, rule.right):
+            if side is not None:
+                assert isinstance(side, tuple) and side, rule.rule_id
+                assert len(set(side)) == len(side), rule.rule_id
+
+
+def test_colouring_stops_at_the_first_token_that_holds(monkeypatch):
+    # COL-P1 fires on P3 alone; the long-anticycle probe on the dense
+    # complement of a grid is never needed, since C4+P1 comes before it
+    grid, probe = graph_named("grid(14)"), _FLAGS["co-has-cycle>=6"]
+
+    def guarded(g):
+        if g == grid:
+            raise AssertionError("co-has-cycle>=6 decided on grid(14)")
+        return probe(g)
+
+    monkeypatch.setitem(_FLAGS, "co-has-cycle>=6", guarded)
+    colouring_facts.cache_clear()
+    line = classify_colouring(grid, graph_named("P3")).line()
+    assert line.startswith("status=Polynomial rule=COL-P1 matched=P3,graph6:")
 
 
 _COL_N1 = "status=NP-complete rule=COL-N1 matched={} cite=both sides keep some chordless cycle"
@@ -225,12 +255,12 @@ def test_conflict_errors_list_every_fired_rule(monkeypatch):
 
     every = (1 << 64) - 1
     k3, p4 = graph_named("K3"), graph_named("P4")
-    monkeypatch.setattr(classifier, "_graph_sides", lambda g, co: (every, every))
+    monkeypatch.setattr(classifier, "pair_sides", lambda g, co: (every, every))
     ids = ", ".join(rule.rule_id for rule in classifier.PAIR_RULES)
     with pytest.raises(InvariantViolation) as info:
         classify_pair(k3, p4)
     assert str(info.value) == f"rules {ids} fire together on the class of (K3,P4)-free graphs"
-    monkeypatch.setattr(classifier, "_colouring_sides", lambda g: (every, every))
+    monkeypatch.setattr(classifier, "colouring_facts", lambda g: (every, every))
     ids = ", ".join(rule.rule_id for rule in classifier.COLOURING_RULES)
     with pytest.raises(InvariantViolation) as info:
         classify_colouring(k3, p4)

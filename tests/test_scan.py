@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cwkit.classifier import PAIR_RULES, Status, classify_pair, fire, pair_facts, rule_sides
+from cwkit.classifier import PAIR_RULES, Status, classify_pair, fire, pair_sides
 from cwkit.cli import run
 from cwkit.enumeration import _level, nonisomorphic_graphs, nonisomorphic_graphs_upto
 from cwkit.errors import CapacityError
@@ -65,7 +65,7 @@ def test_scan_tiny_budget_has_no_swap_partner():
 def _kernel_fired(cat):
     """fired(i, j): the shared pair kernel, exactly as classify_pair runs it,
     on each graph's own rule sides (not the catalogue's orbit sides)."""
-    raw = [rule_sides(PAIR_RULES, pair_facts(g, cat.graphs[cat.co[i]])) for i, g in enumerate(cat.graphs)]
+    raw = [pair_sides(g, cat.graphs[cat.co[i]]) for i, g in enumerate(cat.graphs)]
     return lambda i, j: fire(cat.pair_class(i, j), raw.__getitem__)[0]
 
 
