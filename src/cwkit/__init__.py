@@ -25,7 +25,6 @@ from .patterns import (
     has_induced,
     is_free,
     in_class_S,
-    shape_tests,
     is_planar,
 )
 from .names import parse_name, realize, recognize, format_name, graph_named

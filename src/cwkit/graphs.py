@@ -196,6 +196,7 @@ def check_size(n: int, m: int, what: str) -> None:
 
 def complement(g: Graph) -> Graph:
     """Same vertices; distinct u,v adjacent iff they were not adjacent."""
+    check_size(g.n, g.n * (g.n - 1) // 2 - len(g.edges), "the complement")
     edges = [
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
     ]

@@ -1,14 +1,15 @@
-"""Isomorphism testing and canonical forms for small graphs.
+"""Canonical forms for small graphs, and isomorphism tests for any order.
 
-Two engines share a colour-refinement core:
+``canonical_key`` computes an exact canonical form by maximising the
+adjacency bitstring over permutations that respect colour-refinement classes,
+with prefix branch-and-bound.  It serves the enumeration and the scan, and is
+guarded by a vertex cap.
 
-* ``canonical_key`` computes an exact canonical form by maximising the
-  adjacency bitstring over refinement-class-respecting permutations, with
-  prefix branch-and-bound.  Intended for small graphs (enumeration and
-  catalog lookups); guarded by a vertex cap.
-* ``find_isomorphism`` does plain backtracking with refinement-colour and
-  adjacency-consistency pruning; fine for the few-dozen-vertex graphs the
-  witness generators produce.
+Isomorphism has no search of its own: two graphs of the same order and edge
+count are isomorphic exactly when one embeds in the other as an induced
+subgraph, so ``is_isomorphic`` and ``find_isomorphism`` call the pattern
+search of ``patterns`` after cheap invariant checks (degree sequence and
+refinement colours).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Optional
 
 from .errors import CapacityError
 from .graphs import Graph, _bits
+from .patterns import contains_induced, has_induced
 
 __all__ = ["canonical_key", "find_isomorphism", "graph_of_key", "is_isomorphic", "refine_colours"]
 
@@ -135,52 +137,11 @@ def graph_of_key(key: tuple) -> Graph:
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:
-    """An adjacency-preserving bijection g -> h, or None."""
+    """The lexicographically least adjacency-preserving bijection g -> h, or None."""
     if g.n != h.n or len(g.edges) != len(h.edges):
         return None
-    cg = refine_colours(g.adj, g.n)
-    ch = refine_colours(h.adj, h.n)
-    if sorted(cg) != sorted(ch):
-        return None
-    n = g.n
-    if n == 0:
-        return {}
-    by_colour_h: dict[int, list[int]] = {}
-    for v in range(n):
-        by_colour_h.setdefault(ch[v], []).append(v)
-    # Map the most-constrained g-vertices first: rare colour, high degree.
-    order = sorted(range(n), key=lambda v: (len(by_colour_h[cg[v]]), -g.degree(v)))
-
-    mapping: dict[int, int] = {}
-    used_h = [False] * n
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return True
-        u = order[i]
-        au = g.adj[u]
-        for w in by_colour_h.get(cg[u], ()):
-            if used_h[w]:
-                continue
-            aw = h.adj[w]
-            ok = True
-            for x, y in mapping.items():
-                if (au >> x & 1) != (aw >> y & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[u] = w
-            used_h[w] = True
-            if rec(i + 1):
-                return True
-            used_h[w] = False
-            del mapping[u]
-        return False
-
-    if rec(0):
-        return dict(mapping)
-    return None
+    emb = contains_induced(h, g)
+    return None if emb is None else dict(enumerate(emb.mapping))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -189,6 +150,6 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    if g.n <= CANONICAL_CAP:
-        return canonical_key(g) == canonical_key(h)
-    return find_isomorphism(g, h) is not None
+    if sorted(refine_colours(g.adj, g.n)) != sorted(refine_colours(h.adj, h.n)):
+        return False
+    return has_induced(h, g)

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import InputError, ParseError, _Tokens
-from .graphs import Graph, check_size, complement, induced_subgraph
+from .graphs import EDGE_CAP, Graph, check_size, complement, induced_subgraph
 from .witnesses import _wall_size, grid, subdivided_wall, wall
 
 __all__ = [
@@ -330,6 +330,8 @@ def _build(expr: NameExpr) -> Graph:
         case Named("hammer"):
             return Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
         case Complement(inner):
+            # The complement may fit where the inner graph does not.
+            check_size(*_size(inner), format_name(inner))
             return complement(_build(inner))
         case Sum(parts):
             # one pass with vertex offsets, as repeated disjoint_union would
@@ -465,6 +467,10 @@ def recognize(g: Graph) -> Optional[NameExpr]:
     direct = _recognize_direct(g)
     if direct is not None:
         return direct
+    # co(X) names no graph whose complement X is past the edge ceiling:
+    # realising the name would build X first.
+    if g.n * (g.n - 1) // 2 - len(g.edges) > EDGE_CAP:
+        return None
     co = _recognize_direct(complement(g))
     if co is not None:
         return Complement(co)

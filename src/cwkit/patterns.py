@@ -12,9 +12,9 @@ lexicographically least one by pinning pattern vertices 0, 1, ... in turn.
 Only callers that report the embedding should pay for that second pass.
 
 On top of the search sit the freeness test, the recognisers consumed by the
-rule tables (class S membership, shape flags, planarity) and the induced
-cycle/path probes.  The exponential probes carry a configurable vertex cap
-and raise ``CapacityError`` rather than ever returning a wrong answer.
+rule tables (class S membership, planarity) and the induced cycle probe.  The
+probe is exponential, so it carries a configurable vertex cap and raises
+``CapacityError`` rather than ever returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, complement
+from .graphs import Graph
 
 __all__ = [
     "Embedding",
@@ -31,12 +31,8 @@ __all__ = [
     "has_induced",
     "is_free",
     "in_class_S",
-    "ShapeReport",
-    "shape_tests",
     "is_planar",
-    "has_triangle",
     "has_induced_cycle_at_least",
-    "longest_induced_path",
 ]
 
 PROBE_CAP = 16
@@ -230,7 +226,7 @@ def is_free(g: Graph, patterns: list[Graph]) -> tuple[bool, Optional[tuple[int, 
     return True, None
 
 
-# -- class S and shape recognisers --------------------------------------
+# -- class S --------------------------------------------------------------
 
 
 def _component_is_path(g: Graph, comp: list[int]) -> bool:
@@ -257,36 +253,6 @@ def in_class_S(g: Graph) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ShapeReport:
-    is_edgeless: bool
-    is_complete: bool
-    is_linear_forest: bool
-    is_forest: bool
-    is_complete_multipartite: bool
-
-
-def shape_tests(g: Graph) -> ShapeReport:
-    edgeless = not g.edges
-    full = g.n * (g.n - 1) // 2
-    comp = len(g.edges) == full and g.n >= 1
-    forest = len(g.edges) == g.n - len(g.component_masks())
-    linear = forest and g.max_degree() <= 2
-    # Complete multipartite iff the complement is a disjoint union of cliques.
-    co = complement(g)
-    cm = g.n >= 1 and all(
-        len(c) * (len(c) - 1) // 2 == sum(co.degree(v) for v in c) // 2
-        for c in co.components()
-    )
-    return ShapeReport(
-        is_edgeless=edgeless,
-        is_complete=comp,
-        is_linear_forest=linear,
-        is_forest=forest,
-        is_complete_multipartite=cm,
-    )
-
-
 # -- planarity -----------------------------------------------------------
 
 
@@ -303,69 +269,43 @@ def is_planar(g: Graph) -> bool:
     return nx.check_planarity(G)[0]
 
 
-# -- induced cycle and path probes ---------------------------------------
-
-
-def has_triangle(g: Graph) -> bool:
-    return any(g.adj[u] & g.adj[v] for u, v in g.edges)
-
-
-def _probe_guard(g: Graph, cap: Optional[int]) -> None:
-    limit = PROBE_CAP if cap is None else cap
-    if g.n > limit:
-        raise CapacityError(
-            f"induced cycle/path probe capped at {limit} vertices, got {g.n}; raise max_vertices to override"
-        )
+# -- induced cycle probe ------------------------------------------------
 
 
 def has_induced_cycle_at_least(g: Graph, length: int, max_vertices: Optional[int] = None) -> bool:
     """True iff some chordless cycle has at least ``length`` vertices."""
     if length < 3:
         raise InputError("cycle length threshold must be at least 3")
-    _probe_guard(g, max_vertices)
-
-    # Grow induced paths from a least start vertex; close into a cycle when
-    # long enough.  The path is chordless by construction, so a closing edge
-    # with no other adjacencies to the interior gives an induced cycle.
-    def rec(path: list[int], path_set: int) -> bool:
-        v = path[-1]
-        if len(path) >= length and g.has_edge(path[0], v):
-            return True
-        for w in g.neighbors(v):
-            if w <= path[0] or path_set >> w & 1:
-                continue
-            # w may touch only the last vertex (and possibly path[0] to close)
-            bad = g.adj[w] & path_set & ~(1 << v)
-            if bad & ~(1 << path[0]):
-                continue
-            if bad and len(path) + 1 < length:
-                continue  # would close a too-short cycle; adjacency to start forbidden
-            if rec(path + [w], path_set | 1 << w):
-                return True
-        return False
-
+    limit = PROBE_CAP if max_vertices is None else max_vertices
+    if g.n > limit:
+        raise CapacityError(
+            f"induced cycle probe capped at {limit} vertices, got {g.n}; raise max_vertices to override"
+        )
+    adj = g.adj
+    # Grow induced paths from their least vertex s, one stack frame per path
+    # vertex holding the mask of its neighbours not yet tried.  The path is
+    # chordless by construction, so a next vertex that touches the path only
+    # at its last vertex and at s closes an induced cycle.
     for s in range(g.n):
-        if rec([s], 1 << s):
-            return True
+        later = -1 << (s + 1)
+        path = [s]
+        used = 1 << s
+        untried = [adj[s] & later]
+        while untried:
+            c = untried[-1]
+            if not c:
+                untried.pop()
+                used ^= 1 << path.pop()
+                continue
+            low = c & -c
+            untried[-1] = c ^ low
+            w = low.bit_length() - 1
+            bad = adj[w] & used & ~(1 << path[-1])
+            if bad:
+                if bad == 1 << s and len(path) + 1 >= length:
+                    return True
+                continue
+            path.append(w)
+            used |= low
+            untried.append(adj[w] & later & ~used)
     return False
-
-
-def longest_induced_path(g: Graph, max_vertices: Optional[int] = None) -> int:
-    """The largest r such that the r-vertex path embeds induced (0 if empty)."""
-    _probe_guard(g, max_vertices)
-    best = 1 if g.n else 0
-
-    def rec(path_set: int, v: int, length: int) -> None:
-        nonlocal best
-        if length > best:
-            best = length
-        for w in g.neighbors(v):
-            if path_set >> w & 1:
-                continue
-            if g.adj[w] & path_set & ~(1 << v):
-                continue
-            rec(path_set | 1 << w, w, length + 1)
-
-    for s in range(g.n):
-        rec(1 << s, s, 1)
-    return best

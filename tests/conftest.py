@@ -48,16 +48,6 @@ def naive_contains_induced(host: Graph, pattern: Graph):
     return None
 
 
-def naive_longest_induced_path(g: Graph) -> int:
-    from cwkit.names import graph_named as gn
-
-    best = 0
-    for r in range(g.n, 0, -1):
-        if naive_contains_induced(g, gn(f"P{r}")) is not None:
-            return r
-    return best
-
-
 def naive_has_induced_cycle_at_least(g: Graph, length: int) -> bool:
     from cwkit.names import graph_named as gn
 

@@ -24,7 +24,7 @@ from cwkit.enumeration import nonisomorphic_graphs_upto
 from cwkit.graphs import Graph, complement
 from cwkit.isomorphism import canonical_key, is_isomorphic
 from cwkit.names import graph_named
-from cwkit.patterns import contains_induced, has_triangle, is_free, shape_tests
+from cwkit.patterns import contains_induced, has_induced, is_free
 from cwkit.scan import scan_pairs
 from cwkit.witnesses import grid, p6_diamond_base, p6_diamond_witness, two_clique_grid
 
@@ -136,12 +136,13 @@ def test_07_equivalence_invariance():
 
 def test_08_paw_free_structure():
     t0 = time.time()
-    paw = graph_named("paw")
+    # A connected graph is complete multipartite iff it has no induced P1+P2.
+    paw, p1p2, k3 = graph_named("paw"), graph_named("P1+P2"), graph_named("K3")
     checked = 0
     for g in nonisomorphic_graphs_upto(8):
         if not g.is_connected() or contains_induced(g, paw) is not None:
             continue
-        assert shape_tests(g).is_complete_multipartite or not has_triangle(g), g
+        assert not has_induced(g, p1p2) or not has_induced(g, k3), g
         checked += 1
     report("8 paw-free-structure", t0, f"{checked} connected paw-free graphs")
 

@@ -249,12 +249,19 @@ def test_huge_declared_vertex_count_is_a_capacity_error(tmp_path):
         (("classify", "single", "grid(100000)"), f"at most {EDGE_LIST_CAP} vertices"),
         # a path this long would need about n*n/16 bytes of adjacency bitmasks
         (("classify", "single", "P100000"), f"at most {EDGE_LIST_CAP} vertices"),
+        (("classify", "single", "co(K6000)"), "K6000 has 17997000 edges"),
+        (("classify", "single", "co(K1500)"), "K1500 has 1124250 edges"),
+        (("classify", "pair", "P6000", "P3"), "the complement has 17991001 edges"),
     ],
-    ids=["thm4G(100000)", "K100000", "K2000", "P100000000", "grid(100000)", "P100000"],
+    ids=[
+        "thm4G(100000)", "K100000", "K2000", "P100000000", "grid(100000)", "P100000",
+        "co(K6000)", "co(K1500)", "P6000,P3",
+    ],
 )
 def test_huge_generated_graph_is_a_capacity_error(argv, limit):
     # Generators and names are checked with the graph's closed-form size
-    # before anything is built.
+    # before anything is built, and so are the inner graph of co(...) and the
+    # complement of a pair member, where the named graph itself fits.
     proc = _run_in_one_gib(*argv)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -284,3 +291,19 @@ def test_oversized_oracle_table_is_a_capacity_error(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "at most 16 vertices, got 33" in proc.stderr
+
+
+def test_graph_with_oversized_complement_keeps_its_graph6_name():
+    # grid(40)'s complement is past the edge ceiling, so no co(...) name is
+    # sought for it and the verdict names it in graph6.
+    proc = _run_in_one_gib("classify", "single", "grid(40)")
+    assert proc.returncode == 0, proc.stderr
+    assert "status=Unbounded rule=SG matched=graph6:" in proc.stdout
+
+
+@pytest.mark.parametrize("name", ["C2000+K3+P1", "C1200+K3"])
+def test_long_cycle_probe_needs_no_deep_recursion(name):
+    proc = _run_in_one_gib("colouring", "pair", name, "K1_3")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "rule=COL-N6" in proc.stdout

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from cwkit.errors import CapacityError
@@ -67,3 +68,26 @@ def test_large_graphs_use_search_not_canonical():
     assert is_isomorphic(g, permuted(g, perm))
     with pytest.raises(CapacityError):
         canonical_key(g)
+
+
+def test_random_regular_graphs_agree_with_networkx():
+    # Refinement cannot split a regular graph, so these are decided by the
+    # vertex-map search alone: relabelled copies and independent draws.
+    rng = random.Random(1)
+    for n in range(17, 41):
+        d = 3 if n % 2 == 0 else 4
+        G = nx.random_regular_graph(d, n, seed=rng.randrange(2**32))
+        g = Graph(n, list(G.edges()))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        copy = permuted(g, perm)
+        K = nx.random_regular_graph(d, n, seed=rng.randrange(2**32))
+        other = Graph(n, list(K.edges()))
+        for h, H in ((copy, nx.relabel_nodes(G, dict(enumerate(perm)))), (other, K)):
+            expected = nx.is_isomorphic(G, H)
+            assert is_isomorphic(g, h) == expected
+            mapping = find_isomorphism(g, h)
+            assert (mapping is not None) == expected
+            if mapping is not None:
+                assert sorted(mapping) == sorted(mapping.values()) == list(range(n))
+                assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges)

@@ -3,11 +3,7 @@ import random
 import networkx as nx
 import pytest
 
-from conftest import (
-    naive_contains_induced,
-    naive_has_induced_cycle_at_least,
-    naive_longest_induced_path,
-)
+from conftest import naive_contains_induced, naive_has_induced_cycle_at_least
 from cwkit.enumeration import nonisomorphic_graphs, nonisomorphic_graphs_upto
 from cwkit.errors import CapacityError, InputError
 from cwkit.graphs import Graph, complement
@@ -17,12 +13,9 @@ from cwkit.patterns import (
     contains_induced,
     has_induced,
     has_induced_cycle_at_least,
-    has_triangle,
     in_class_S,
     is_free,
     is_planar,
-    longest_induced_path,
-    shape_tests,
 )
 from cwkit.witnesses import wall
 
@@ -149,36 +142,16 @@ def test_class_s_implies_sparse_forest():
     for g in nonisomorphic_graphs_upto(7):
         if in_class_S(g):
             assert g.max_degree() <= 3
-            assert shape_tests(g).is_forest
-
-
-def test_shape_fixtures():
-    st = shape_tests(graph_named("4P1"))
-    assert st.is_edgeless and st.is_complete_multipartite
-    st = shape_tests(graph_named("K5"))
-    assert st.is_complete and st.is_complete_multipartite
-    st = shape_tests(graph_named("P1+P5"))
-    assert st.is_linear_forest and not st.is_edgeless and st.is_forest
-    st = shape_tests(graph_named("K1_4"))
-    assert st.is_forest and not st.is_linear_forest
-    st = shape_tests(graph_named("co(2P2+P1)"))
-    assert st.is_complete_multipartite and not st.is_complete
-
-
-def test_complete_multipartite_matches_definition():
-    # complete multipartite iff no induced P1+P2
-    probe = graph_named("P1+P2")
-    for g in nonisomorphic_graphs_upto(5):
-        expected = contains_induced(g, probe) is None
-        assert shape_tests(g).is_complete_multipartite == expected
+            assert len(g.edges) == g.n - len(g.component_masks())
 
 
 def test_paw_free_connected_structure_small():
-    paw = graph_named("paw")
+    # A connected graph is complete multipartite iff it has no induced P1+P2.
+    paw, p1p2, k3 = graph_named("paw"), graph_named("P1+P2"), graph_named("K3")
     for g in nonisomorphic_graphs_upto(6):
         if not g.is_connected() or contains_induced(g, paw) is not None:
             continue
-        assert shape_tests(g).is_complete_multipartite or not has_triangle(g)
+        assert not has_induced(g, p1p2) or not has_induced(g, k3)
 
 
 def test_planarity_fixtures():
@@ -223,13 +196,13 @@ def test_kuratowski_supergraphs_rejected():
 
 def test_probe_fixtures():
     c6 = graph_named("C6")
-    assert not has_triangle(c6)
+    assert not has_induced(c6, graph_named("K3"))
     assert has_induced_cycle_at_least(c6, 5)
-    assert longest_induced_path(c6) == 5
+    assert has_induced(c6, graph_named("P5")) and not has_induced(c6, graph_named("P6"))
     k3 = graph_named("K3")
-    assert has_triangle(k3)
+    assert has_induced(k3, k3)
     assert not has_induced_cycle_at_least(k3, 4)
-    assert longest_induced_path(graph_named("P22"), max_vertices=22) == 22
+    assert has_induced_cycle_at_least(graph_named("C22"), 22, max_vertices=22)
 
 
 def test_probe_oracle_agreement():
@@ -237,7 +210,6 @@ def test_probe_oracle_agreement():
     graphs = nonisomorphic_graphs_upto(6)
     for _ in range(200):
         g = rng.choice(graphs)
-        assert longest_induced_path(g) == naive_longest_induced_path(g)
         for length in (3, 4, 5):
             assert has_induced_cycle_at_least(g, length) == naive_has_induced_cycle_at_least(g, length)
 
@@ -270,7 +242,7 @@ def test_bipartition_matches_networkx():
 def test_probe_guards():
     big = wall(3)
     with pytest.raises(CapacityError):
-        longest_induced_path(big)
-    assert longest_induced_path(graph_named("P5"), max_vertices=30) == 5
+        has_induced_cycle_at_least(big, 4)
+    assert has_induced_cycle_at_least(big, 6, max_vertices=30)
     with pytest.raises(InputError):
         has_induced_cycle_at_least(graph_named("C5"), 2)

@@ -7,7 +7,7 @@ from cwkit.errors import InputError
 from cwkit.graphs import complement_bipartite, to_graph6
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import graph_named
-from cwkit.patterns import is_free, is_planar
+from cwkit.patterns import has_induced, is_free, is_planar
 from cwkit.witnesses import (
     FAMILIES,
     grid,
@@ -46,9 +46,7 @@ def test_subdivided_wall_formulas():
 
 
 def test_subdivided_wall_kills_short_cycles():
-    from cwkit.patterns import has_triangle
-
-    assert not has_triangle(subdivided_wall(2, 1))
+    assert not has_induced(subdivided_wall(2, 1), graph_named("K3"))
 
 
 def test_grid_fixtures():
