@@ -117,19 +117,7 @@ class Graph:
         With ``inside``, the components of the subgraph induced by that
         vertex mask; no subgraph is built.
         """
-        rest = (1 << self.n) - 1 if inside is None else inside
-        out = []
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                nxt = 0
-                for u in _bits(frontier):
-                    nxt |= self.adj[u]
-                frontier = nxt & rest & ~comp
-                comp |= frontier
-            out.append(comp)
-            rest &= ~comp
-        return out
+        return _component_masks(self.adj, (1 << self.n) - 1 if inside is None else inside)
 
     def components(self) -> list[list[int]]:
         return [_bits(m) for m in self.component_masks()]
@@ -166,6 +154,23 @@ def _bits(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def _component_masks(adj, rest: int) -> list[int]:
+    """Components of the graph with neighbourhood masks ``adj`` induced by
+    the vertex mask ``rest``, as vertex masks ordered by least vertex."""
+    out = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            nxt = 0
+            for u in _bits(frontier):
+                nxt |= adj[u]
+            frontier = nxt & rest & ~comp
+            comp |= frontier
+        out.append(comp)
+        rest &= ~comp
     return out
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import InputError, ParseError, _Tokens
-from .graphs import EDGE_CAP, Graph, check_size, complement, induced_subgraph
+from .graphs import EDGE_CAP, Graph, _bits, _component_masks, check_size, complement, induced_subgraph
 from .witnesses import _wall_size, grid, subdivided_wall, wall
 
 __all__ = [
@@ -462,6 +462,24 @@ def _recognize_direct(g: Graph) -> Optional[NameExpr]:
     return Sum(tuple(grouped))
 
 
+def _complement_may_be_named(g: Graph) -> bool:
+    """False when some component of g's complement has no catalogue name.
+
+    ``_recognize_connected`` names only complete graphs and graphs with at
+    most |C| + 2 edges (the gem, with 5 vertices and 7 edges, has the most).
+    The components and their edges are read off g's non-adjacency masks, so
+    a graph with no ``co(...)`` name never has its complement built.
+    """
+    full = (1 << g.n) - 1
+    nadj = [full ^ a ^ (1 << v) for v, a in enumerate(g.adj)]
+    for comp in _component_masks(nadj, full):
+        size = comp.bit_count()
+        edges = sum((nadj[v] & comp).bit_count() for v in _bits(comp)) // 2
+        if edges > size + 2 and edges != size * (size - 1) // 2:
+            return False
+    return True
+
+
 def recognize(g: Graph) -> Optional[NameExpr]:
     """A catalog name realising a graph isomorphic to g, or None."""
     direct = _recognize_direct(g)
@@ -469,7 +487,7 @@ def recognize(g: Graph) -> Optional[NameExpr]:
         return direct
     # co(X) names no graph whose complement X is past the edge ceiling:
     # realising the name would build X first.
-    if g.n * (g.n - 1) // 2 - len(g.edges) > EDGE_CAP:
+    if g.n * (g.n - 1) // 2 - len(g.edges) > EDGE_CAP or not _complement_may_be_named(g):
         return None
     co = _recognize_direct(complement(g))
     if co is not None:

@@ -11,6 +11,20 @@ the first embedding, and ``contains_induced`` goes on to return the
 lexicographically least one by pinning pattern vertices 0, 1, ... in turn.
 Only callers that report the embedding should pay for that second pass.
 
+Two caches keep the search from redoing work that depends on one graph only.
+Both are keyed by ``Graph``, which compares edges and ignores vertex names,
+and both hold tuples, so no search can change them.
+
+- ``_plan`` holds a pattern's search plan: its degrees, the first pass's
+  steps and, per pinned vertex, the lexicographic pass's steps.  The two
+  rule tables name 40 patterns; 256 entries keep them cached while the
+  fresh graphs of one-off queries and of the ``<=X`` facts (where the
+  queried graph is the pattern) pass through.
+- ``_host`` holds a host's degree masks and non-neighbourhood masks.  The
+  facts of one graph ask it about some 30 patterns in a row, so 8 entries
+  serve them all.  Each of its three tables of a big host takes as much
+  memory as the host's adjacency, so the cache stays small.
+
 On top of the search sit the freeness test, the recognisers consumed by the
 rule tables (class S membership, planarity) and the induced cycle probe.  The
 probe is exponential, so it carries a configurable vertex cap and raises
@@ -20,6 +34,7 @@ probe is exponential, so it carries a configurable vertex cap and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .errors import CapacityError, InputError
@@ -77,8 +92,9 @@ def _search_order(pattern: Graph) -> list[int]:
     return order
 
 
-def _steps(pattern: Graph, placed: list[int], rest: list[int]) -> list[tuple[int, list[int], list[int]]]:
-    """One step per vertex of ``rest``: (p, earlier neighbours, earlier non-neighbours).
+def _steps(pattern: Graph, placed: list[int], rest: list[int]) -> tuple:
+    """One step per vertex of ``rest``: (p, earlier neighbours, earlier
+    non-neighbours), all tuples.
 
     ``placed`` vertices are mapped before the first step.
     """
@@ -86,35 +102,37 @@ def _steps(pattern: Graph, placed: list[int], rest: list[int]) -> list[tuple[int
     before = list(placed)
     for p in rest:
         pa = pattern.adj[p]
-        steps.append((p, [q for q in before if pa >> q & 1], [q for q in before if not pa >> q & 1]))
+        steps.append((p, tuple(q for q in before if pa >> q & 1), tuple(q for q in before if not pa >> q & 1)))
         before.append(p)
-    return steps
+    return tuple(steps)
 
 
-def _candidate_bases(host: Graph, pattern: Graph) -> Optional[list[int]]:
-    """Per pattern vertex, the host vertices that pass the degree and co-degree filter.
+@lru_cache(maxsize=256)
+def _plan(pattern: Graph) -> tuple:
+    """(degrees, first-pass steps, lexicographic steps): the pattern's search
+    plan.  The lexicographic steps hold, per pattern vertex p, the steps that
+    extend a map with 0..p pinned over the later vertices of the search order."""
+    order = _search_order(pattern)
+    pinned = tuple(_steps(pattern, list(range(p + 1)), [v for v in order if v > p]) for p in range(pattern.n))
+    return tuple(a.bit_count() for a in pattern.adj), _steps(pattern, [], order), pinned
 
-    None when some pattern vertex has no candidate at all.
-    """
-    hn, pn = host.n, pattern.n
+
+@lru_cache(maxsize=8)
+def _host(host: Graph) -> tuple:
+    """(at_least, at_most, non-neighbourhoods): at_least[d] and at_most[d]
+    are the host vertices of degree >= d and <= d."""
+    hn = host.n
     by_degree = [0] * hn
     for w, a in enumerate(host.adj):
         by_degree[a.bit_count()] |= 1 << w
-    at_least = by_degree[:]  # at_least[d]: host vertices of degree >= d
-    at_most = by_degree[:]  # at_most[d]: host vertices of degree <= d
+    at_least = by_degree[:]
+    at_most = by_degree[:]
     for d in range(hn - 2, -1, -1):
         at_least[d] |= at_least[d + 1]
     for d in range(1, hn):
         at_most[d] |= at_most[d - 1]
-    bases = []
-    for a in pattern.adj:
-        d = a.bit_count()
-        # degree >= d, and co-degree hn-1-deg >= pn-1-d
-        base = at_least[d] & at_most[hn - pn + d]
-        if not base:
-            return None
-        bases.append(base)
-    return bases
+    full = (1 << hn) - 1
+    return tuple(at_least), tuple(at_most), tuple(full ^ a for a in host.adj)
 
 
 def _extend(adj, nadj, steps, bases: list[int], image: list[int], used: int) -> bool:
@@ -156,22 +174,22 @@ def _extend(adj, nadj, steps, bases: list[int], image: list[int], used: int) -> 
 
 
 def _first_embedding(host: Graph, pattern: Graph):
-    """(search order, candidate bases, host non-neighbourhoods, some induced
-    embedding), or None."""
+    """(lexicographic steps, candidate bases, host non-neighbourhoods, some
+    induced embedding), or None."""
     pn, hn = pattern.n, host.n
     pe, he = len(pattern.edges), len(host.edges)
     if pn > hn or pe > he or pn * (pn - 1) // 2 - pe > hn * (hn - 1) // 2 - he:
         return None
-    bases = _candidate_bases(host, pattern)
-    if bases is None:
+    degrees, steps, pinned = _plan(pattern)
+    at_least, at_most, nadj = _host(host)
+    # degree >= d, and co-degree hn-1-deg >= pn-1-d
+    bases = [at_least[d] & at_most[hn - pn + d] for d in degrees]
+    if not all(bases):
         return None
-    full = (1 << hn) - 1
-    nadj = [full ^ a for a in host.adj]
-    order = _search_order(pattern)
     image = [-1] * pn
-    if not _extend(host.adj, nadj, _steps(pattern, [], order), bases, image, 0):
+    if not _extend(host.adj, nadj, steps, bases, image, 0):
         return None
-    return order, bases, nadj, image
+    return pinned, bases, nadj, image
 
 
 def has_induced(host: Graph, pattern: Graph) -> bool:
@@ -192,24 +210,21 @@ def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
     first = _first_embedding(host, pattern)
     if first is None:
         return None
-    order, bases, nadj, found = first
+    pinned, bases, nadj, found = first
     adj = host.adj
-    pinned: list[int] = []
     used = 0
     # Lexicographic minimisation, one pattern vertex at a time: the current
     # embedding is feasible, so only images below found[p] need a search.
     for p in range(pattern.n):
         pa = pattern.adj[p]
         c = bases[p] & ~used & ((1 << found[p]) - 1)
-        for q in pinned:
+        for q in range(p):
             c &= adj[found[q]] if pa >> q & 1 else nadj[found[q]]
-        pinned.append(p)
-        steps = _steps(pattern, pinned, [v for v in order if v > p]) if c else []
         while c:
             low = c & -c
             trial = found[:]
             trial[p] = low.bit_length() - 1
-            if _extend(adj, nadj, steps, bases, trial, used | low):
+            if _extend(adj, nadj, pinned[p], bases, trial, used | low):
                 found = trial
                 break
             c ^= low

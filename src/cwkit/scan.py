@@ -140,7 +140,12 @@ def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
     clock["enumerate"] = perf_counter() - t
     t = perf_counter()
     ids = {k: i for i, k in enumerate(keys)}
-    co = [ids[canonical_key(complement(g))] for g in graphs]
+    # complementing is an involution: one key per complement pair
+    co = [-1] * len(graphs)
+    for i, g in enumerate(graphs):
+        if co[i] < 0:
+            j = ids[canonical_key(complement(g))]
+            co[i], co[j] = j, i
     # K3 and the paw swap only when both are in range.
     k3 = ids.get(canonical_key(graph_named("K3")))
     paw = ids.get(canonical_key(graph_named("paw")))

@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 
 import pytest
@@ -184,3 +185,27 @@ def test_display_name_ignores_labels(data):
         assert display_name(h) == name
         assert format_name(parse_name(name)) == name
         assert is_isomorphic(graph_named(name), g)
+
+
+def test_co_names_need_no_complement_up_to_eight_vertices():
+    # recognize reads off g's non-adjacency masks whether the complement can
+    # have a name at all; every co(...) name must still be the one the whole
+    # complement gives, on each graph and on a relabelled copy
+    from cwkit.names import _recognize_direct
+
+    rng = random.Random(8)
+    co_named = 0
+    for g in nonisomorphic_graphs_upto(8):
+        if _recognize_direct(g) is not None:
+            continue
+        co = _recognize_direct(complement(g))
+        if co is None:
+            assert display_name(g) == f"graph6:{to_graph6(g)}"
+            continue
+        co_named += 1
+        want = format_name(Complement(co))
+        assert display_name(g) == want
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert display_name(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])) == want
+    assert co_named == 231

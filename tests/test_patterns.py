@@ -246,3 +246,38 @@ def test_probe_guards():
     assert has_induced_cycle_at_least(big, 6, max_vertices=30)
     with pytest.raises(InputError):
         has_induced_cycle_at_least(graph_named("C5"), 2)
+
+
+def test_cached_search_plans_agree_with_naive_oracle():
+    # One pattern object searched on 60 hosts, interleaved with an equal
+    # pattern that carries vertex names, and every tenth host with more
+    # fresh patterns than the plan cache holds, so the pattern's plan is
+    # evicted and rebuilt between uses.
+    from cwkit.patterns import _plan
+
+    rng = random.Random(15)
+    pattern = graph_named("paw")
+    named = Graph(pattern.n, pattern.edges, {v: f"x{v}" for v in range(pattern.n)})
+    assert named == pattern and named is not pattern
+    pairs5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    small_host = graph_named("bull")
+
+    def check(host, pat):
+        naive = naive_contains_induced(host, pat)
+        mine = contains_induced(host, pat)
+        assert (mine and tuple(mine.mapping)) == naive
+        assert has_induced(host, pat) == (naive is not None)
+        return naive is not None
+
+    hits = 0
+    for i in range(60):
+        density = rng.uniform(0.2, 0.7)
+        host = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < density])
+        hits += check(host, pattern)
+        hits += check(host, named)
+        if i % 10 == 0:
+            masks = rng.sample(range(1 << len(pairs5)), _plan.cache_info().maxsize + 44)
+            for mask in masks:
+                fresh = Graph(5, [e for b, e in enumerate(pairs5) if mask >> b & 1])
+                check(small_host, fresh)
+    assert 20 < hits < 100
