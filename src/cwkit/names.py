@@ -465,17 +465,20 @@ def _recognize_direct(g: Graph) -> Optional[NameExpr]:
 def _complement_may_be_named(g: Graph) -> bool:
     """False when some component of g's complement has no catalogue name.
 
-    ``_recognize_connected`` names only complete graphs and graphs with at
-    most |C| + 2 edges (the gem, with 5 vertices and 7 edges, has the most).
-    The components and their edges are read off g's non-adjacency masks, so
-    a graph with no ``co(...)`` name never has its complement built.
+    ``_recognize_connected`` names complete graphs, graphs with at most |C|
+    edges (paths, cycles, stars, subdivided claws) and the specials of
+    ``_named_models``, so a component with more edges than |C| plus the
+    specials' largest surplus has no name.  The components and their edges
+    are read off g's non-adjacency masks, so a graph with no ``co(...)``
+    name never has its complement built.
     """
+    surplus = max(0, *(len(model.edges) - model.n for _, model in _named_models()))
     full = (1 << g.n) - 1
     nadj = [full ^ a ^ (1 << v) for v, a in enumerate(g.adj)]
     for comp in _component_masks(nadj, full):
         size = comp.bit_count()
         edges = sum((nadj[v] & comp).bit_count() for v in _bits(comp)) // 2
-        if edges > size + 2 and edges != size * (size - 1) // 2:
+        if edges > size + surplus and edges != size * (size - 1) // 2:
             return False
     return True
 

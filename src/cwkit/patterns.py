@@ -9,21 +9,28 @@ vertex and the non-neighbourhood of every earlier non-adjacent one, less the
 images already used.  There are two entry points: ``has_induced`` stops at
 the first embedding, and ``contains_induced`` goes on to return the
 lexicographically least one by pinning pattern vertices 0, 1, ... in turn.
-Only callers that report the embedding should pay for that second pass.
+That second pass reuses the first pass's steps: the images of the pinned
+vertices are ANDed into the candidate bases of the later ones, and the
+steps of pinned vertices are skipped.  Only callers that report the
+embedding should pay for it.
 
 Two caches keep the search from redoing work that depends on one graph only.
 Both are keyed by ``Graph``, which compares edges and ignores vertex names,
 and both hold tuples, so no search can change them.
 
-- ``_plan`` holds a pattern's search plan: its degrees, the first pass's
-  steps and, per pinned vertex, the lexicographic pass's steps.  The two
-  rule tables name 40 patterns; 256 entries keep them cached while the
-  fresh graphs of one-off queries and of the ``<=X`` facts (where the
-  queried graph is the pattern) pass through.
-- ``_host`` holds a host's degree masks and non-neighbourhood masks.  The
-  facts of one graph ask it about some 30 patterns in a row, so 8 entries
-  serve them all.  Each of its three tables of a big host takes as much
-  memory as the host's adjacency, so the cache stays small.
+- ``_plan`` holds a pattern's degrees and the first pass's steps, about
+  n*n/2 references for an n-vertex pattern.  The two rule tables name 40
+  patterns; 256 entries keep them cached while the fresh graphs of one-off
+  queries and of the ``<=X`` facts (where the queried graph is the pattern)
+  pass through.
+- ``_host`` holds a host's degree masks and non-neighbourhood masks.  Its 8
+  entries serve the ``>=X`` facts, in which one graph is the host of every
+  pattern in turn.  The ``<=X`` facts use the table patterns as hosts,
+  and those are rebuilt when they fall out: in ``scan_pairs(7)`` 9,826
+  calls reach the cache, 1,245 distinct hosts are built 1,322 times, and
+  32 entries would save 74 of those builds of graphs of at most 7
+  vertices.  Each of its three tables of a big host takes as much memory
+  as the host's adjacency, so the cache stays small.
 
 On top of the search sit the freeness test, the recognisers consumed by the
 rule tables (class S membership, planarity) and the induced cycle probe.  The
@@ -109,12 +116,8 @@ def _steps(pattern: Graph, placed: list[int], rest: list[int]) -> tuple:
 
 @lru_cache(maxsize=256)
 def _plan(pattern: Graph) -> tuple:
-    """(degrees, first-pass steps, lexicographic steps): the pattern's search
-    plan.  The lexicographic steps hold, per pattern vertex p, the steps that
-    extend a map with 0..p pinned over the later vertices of the search order."""
-    order = _search_order(pattern)
-    pinned = tuple(_steps(pattern, list(range(p + 1)), [v for v in order if v > p]) for p in range(pattern.n))
-    return tuple(a.bit_count() for a in pattern.adj), _steps(pattern, [], order), pinned
+    """(degrees, steps): the pattern's degrees and the first pass's steps."""
+    return tuple(a.bit_count() for a in pattern.adj), _steps(pattern, [], _search_order(pattern))
 
 
 @lru_cache(maxsize=8)
@@ -174,13 +177,13 @@ def _extend(adj, nadj, steps, bases: list[int], image: list[int], used: int) -> 
 
 
 def _first_embedding(host: Graph, pattern: Graph):
-    """(lexicographic steps, candidate bases, host non-neighbourhoods, some
-    induced embedding), or None."""
+    """(steps, candidate bases, host non-neighbourhoods, some induced
+    embedding), or None."""
     pn, hn = pattern.n, host.n
     pe, he = len(pattern.edges), len(host.edges)
     if pn > hn or pe > he or pn * (pn - 1) // 2 - pe > hn * (hn - 1) // 2 - he:
         return None
-    degrees, steps, pinned = _plan(pattern)
+    degrees, steps = _plan(pattern)
     at_least, at_most, nadj = _host(host)
     # degree >= d, and co-degree hn-1-deg >= pn-1-d
     bases = [at_least[d] & at_most[hn - pn + d] for d in degrees]
@@ -189,12 +192,19 @@ def _first_embedding(host: Graph, pattern: Graph):
     image = [-1] * pn
     if not _extend(host.adj, nadj, steps, bases, image, 0):
         return None
-    return pinned, bases, nadj, image
+    return steps, bases, nadj, image
 
 
 def has_induced(host: Graph, pattern: Graph) -> bool:
     """True iff pattern embeds in host as an induced subgraph."""
     return pattern.n == 0 or _first_embedding(host, pattern) is not None
+
+
+def _pin(bases: list[int], pattern: Graph, p: int, adj, nadj, w: int) -> list[int]:
+    """``bases`` with the later pattern vertices held to the neighbourhood or
+    non-neighbourhood of w, the image of pattern vertex p."""
+    pa = pattern.adj[p]
+    return bases[: p + 1] + [b & (adj[w] if pa >> v & 1 else nadj[w]) for v, b in enumerate(bases[p + 1 :], p + 1)]
 
 
 def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
@@ -210,25 +220,27 @@ def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
     first = _first_embedding(host, pattern)
     if first is None:
         return None
-    pinned, bases, nadj, found = first
+    steps, bases, nadj, found = first
     adj = host.adj
     used = 0
     # Lexicographic minimisation, one pattern vertex at a time: the current
     # embedding is feasible, so only images below found[p] need a search.
+    # Vertices 0..p-1 are pinned; their images are ANDed into the bases of
+    # the later vertices, so the first pass's steps, less those of pinned
+    # vertices, extend a trial image of p.
     for p in range(pattern.n):
-        pa = pattern.adj[p]
         c = bases[p] & ~used & ((1 << found[p]) - 1)
-        for q in range(p):
-            c &= adj[found[q]] if pa >> q & 1 else nadj[found[q]]
+        rest = [s for s in steps if s[0] > p] if c else []
         while c:
             low = c & -c
             trial = found[:]
             trial[p] = low.bit_length() - 1
-            if _extend(adj, nadj, pinned[p], bases, trial, used | low):
+            if _extend(adj, nadj, rest, _pin(bases, pattern, p, adj, nadj, trial[p]), trial, used | low):
                 found = trial
                 break
             c ^= low
         used |= 1 << found[p]
+        bases = _pin(bases, pattern, p, adj, nadj, found[p])
     return Embedding(tuple(found))
 
 

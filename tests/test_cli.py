@@ -307,3 +307,27 @@ def test_long_cycle_probe_needs_no_deep_recursion(name):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "rule=COL-N6" in proc.stdout
+
+
+def test_lexicographic_embedding_of_a_big_pattern_fits_in_one_gib(tmp_path):
+    # An 800-vertex circular ladder against a relabelled copy of itself: the
+    # lexicographic pass of contains_induced (and so find_isomorphism) must
+    # reuse the first pass's steps, not hold a step list per pinned vertex,
+    # which for this pattern would take about n**3/3 references.
+    import random
+
+    n, k = 800, 400
+    edges = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)]
+    perm = list(range(n))
+    random.Random(5).shuffle(perm)
+    relabelled = [(perm[u], perm[v]) for u, v in edges]
+    pattern, host = tmp_path / "ladder.edges", tmp_path / "relabelled.edges"
+    pattern.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    host.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in relabelled))
+    proc = _run_in_one_gib("free-check", str(host), "--patterns", str(pattern))
+    assert proc.returncode == 1, proc.stderr
+    image = [int(w) for w in proc.stdout.split("embedding=")[1].split(",")]
+    host_edges = {frozenset(e) for e in relabelled}
+    assert sorted(image) == list(range(n))
+    assert all(frozenset((image[u], image[v])) in host_edges for u, v in edges)
