@@ -7,18 +7,13 @@ from .graphs import (
     complement,
     disjoint_union,
     induced_subgraph,
-    delete_vertex,
-    subdivide_edge,
-    contract_edge,
-    dissolve_vertex,
-    complement_subgraph,
     complement_bipartite,
     from_graph6,
     to_graph6,
     from_edge_list,
     to_edge_list,
 )
-from .isomorphism import canonical_key, find_isomorphism, is_isomorphic
+from .isomorphism import canonical_key, is_isomorphic
 from .patterns import (
     Embedding,
     contains_induced,

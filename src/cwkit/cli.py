@@ -36,6 +36,16 @@ from .witnesses import FAMILIES
 __all__ = ["main", "run"]
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of a file, closed before returning; a file that cannot be
+    opened or is not UTF-8 raises InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from None
+
+
 def resolve_graph(arg: str) -> Graph:
     """Interpret one graph argument (name DSL, graph6 literal, or file path)."""
     errors = []
@@ -49,10 +59,7 @@ def resolve_graph(arg: str) -> Graph:
         except InputError as exc:
             errors.append(f"as graph6: {exc}")
     else:
-        try:
-            text = open(arg, "r", encoding="utf-8").read()
-        except OSError as exc:
-            raise InputError(f"cannot read graph file {arg!r}: {exc}") from None
+        text = _read_text(arg, "graph file")
         stripped = text.lstrip()
         try:
             if stripped[:1].isdigit():
@@ -139,11 +146,7 @@ def _cmd_cw(args) -> int:
         print(f"cliquewidth={value}")
         print(f"witness={format_cwexpr(witness)}")
         return 0
-    try:
-        text = open(args.arg, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise InputError(f"cannot read expression file {args.arg!r}: {exc}") from None
-    expr = parse_cwexpr_file(text)
+    expr = parse_cwexpr_file(_read_text(args.arg, "expression file"))
     labelled = eval_cwexpr(expr)
     print(f"width={width(expr)}")
     print(f"n={labelled.graph.n} m={len(labelled.graph.edges)}")

@@ -18,11 +18,6 @@ __all__ = [
     "complement",
     "disjoint_union",
     "induced_subgraph",
-    "delete_vertex",
-    "subdivide_edge",
-    "contract_edge",
-    "dissolve_vertex",
-    "complement_subgraph",
     "complement_bipartite",
     "check_size",
     "to_graph6",
@@ -34,12 +29,6 @@ __all__ = [
 
 def _self_loop(v: int):
     raise InputError(f"self-loop at vertex {v} is not allowed")
-
-
-def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    if u == v:
-        _self_loop(u)
-    return (u, v) if u < v else (v, u)
 
 
 class Graph:
@@ -124,28 +113,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_masks()) == 1
-
-    def bipartition(self) -> Optional[tuple[list[int], list[int]]]:
-        """A 2-colouring (B, W) if the graph is bipartite, else None."""
-        colour = {}
-        for comp in self.component_masks():
-            root = (comp & -comp).bit_length() - 1
-            colour[root] = 0
-            queue = [root]
-            while queue:
-                u = queue.pop()
-                for w in _bits(self.adj[u]):
-                    if w not in colour:
-                        colour[w] = colour[u] ^ 1
-                        queue.append(w)
-                    elif colour[w] == colour[u]:
-                        return None
-        black = [v for v in range(self.n) if colour.get(v, 0) == 0]
-        white = [v for v in range(self.n) if colour.get(v, 0) == 1]
-        return black, white
-
-    def is_bipartite(self) -> bool:
-        return self.bipartition() is not None
 
 
 def _bits(mask: int) -> list[int]:
@@ -232,77 +199,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph(len(keep), edges, names)
 
 
-# -- local edit operations ---------------------------------------------
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    _check_vertex(g, v)
-    return induced_subgraph(g, [u for u in range(g.n) if u != v])
-
-
-def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
-    """Replace edge uv by a path u-w-v through a new vertex w (index n)."""
-    if not g.has_edge(u, v):
-        raise InputError(f"cannot subdivide: ({u},{v}) is not an edge")
-    w = g.n
-    edges = [e for e in g.edges if e != _norm_edge(u, v)]
-    edges += [(u, w), (v, w)]
-    return Graph(g.n + 1, edges, g.names)
-
-
-def contract_edge(g: Graph, u: int, v: int) -> Graph:
-    """Merge the endpoints of edge uv into one vertex (at position min(u,v)).
-
-    The merged vertex is adjacent to every former neighbour of u or v; the
-    result is simple by construction (no self-loops, no parallel edges).
-    """
-    if not g.has_edge(u, v):
-        raise InputError(f"cannot contract: ({u},{v}) is not an edge")
-    lo, hi = min(u, v), max(u, v)
-    merged_nbrs = (g.adj[u] | g.adj[v]) & ~(1 << u) & ~(1 << v)
-    edges = set()
-    for a, b in g.edges:
-        if hi in (a, b):
-            continue
-        edges.add((a, b))
-    for w in _bits(merged_nbrs):
-        edges.add(_norm_edge(lo, w))
-    names = dict(g.names) if g.names else {}
-    names.pop(hi, None)
-    names.pop(lo, None)
-    h = Graph(g.n, edges, names or None)
-    return delete_vertex(h, hi)
-
-
-def dissolve_vertex(g: Graph, v: int) -> Graph:
-    """Remove a degree-2 vertex with non-adjacent neighbours, joining them."""
-    _check_vertex(g, v)
-    nbrs = g.neighbors(v)
-    if len(nbrs) != 2:
-        raise InputError(f"cannot dissolve vertex {v}: degree is {len(nbrs)}, not 2")
-    a, b = nbrs
-    if g.has_edge(a, b):
-        raise InputError(f"cannot dissolve vertex {v}: its neighbours are adjacent")
-    edges = set(g.edges) | {_norm_edge(a, b)}
-    return delete_vertex(Graph(g.n, edges, g.names), v)
-
-
-def complement_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    inside = frozenset(vertices)
-    for v in inside:
-        _check_vertex(g, v)
-    edges = set(g.edges)
-    for u in inside:
-        for v in inside:
-            if u < v:
-                e = (u, v)
-                if e in edges:
-                    edges.remove(e)
-                else:
-                    edges.add(e)
-    return Graph(g.n, edges, g.names)
-
-
 def complement_bipartite(g: Graph, x: Iterable[int], y: Iterable[int]) -> Graph:
     """Flip every adjacency with one end in x and the other in y."""
     xs, ys = frozenset(x), frozenset(y)
@@ -313,7 +209,7 @@ def complement_bipartite(g: Graph, x: Iterable[int], y: Iterable[int]) -> Graph:
     edges = set(g.edges)
     for u in xs:
         for v in ys:
-            e = _norm_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in edges:
                 edges.remove(e)
             else:

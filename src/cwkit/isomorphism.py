@@ -7,9 +7,8 @@ guarded by a vertex cap.
 
 Isomorphism has no search of its own: two graphs of the same order and edge
 count are isomorphic exactly when one embeds in the other as an induced
-subgraph, so ``is_isomorphic`` and ``find_isomorphism`` call the pattern
-search of ``patterns`` after cheap invariant checks (degree sequence and
-refinement colours).
+subgraph, so ``is_isomorphic`` calls the pattern search of ``patterns`` after
+cheap invariant checks (degree sequence and refinement colours).
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from typing import Optional
 
 from .errors import CapacityError
 from .graphs import Graph, _bits
-from .patterns import contains_induced, has_induced
+from .patterns import has_induced
 
-__all__ = ["canonical_key", "find_isomorphism", "graph_of_key", "is_isomorphic", "refine_colours"]
+__all__ = ["canonical_key", "graph_of_key", "is_isomorphic", "refine_colours"]
 
 CANONICAL_CAP = 16
 
@@ -134,14 +133,6 @@ def graph_of_key(key: tuple) -> Graph:
     n = key[0]
     rows = key[1] if n > 1 else ()
     return Graph(n, [(j, i) for i, row in enumerate(rows) for j in range(i) if row >> (i - 1 - j) & 1])
-
-
-def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:
-    """The lexicographically least adjacency-preserving bijection g -> h, or None."""
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return None
-    emb = contains_induced(h, g)
-    return None if emb is None else dict(enumerate(emb.mapping))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

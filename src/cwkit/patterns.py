@@ -256,28 +256,20 @@ def is_free(g: Graph, patterns: list[Graph]) -> tuple[bool, Optional[tuple[int, 
 # -- class S --------------------------------------------------------------
 
 
-def _component_is_path(g: Graph, comp: list[int]) -> bool:
-    degs = sorted(g.degree(v) for v in comp)
-    if len(comp) == 1:
-        return True
-    edges_inside = sum(degs) // 2
-    return edges_inside == len(comp) - 1 and degs[-1] <= 2
-
-
-def _component_is_subdivided_claw(g: Graph, comp: list[int]) -> bool:
-    degs = sorted(g.degree(v) for v in comp)
-    edges_inside = sum(degs) // 2
-    if edges_inside != len(comp) - 1:  # not a tree
-        return False
-    return degs.count(1) == 3 and degs[-1] == 3 and degs[-2] <= 2
-
-
 def in_class_S(g: Graph) -> bool:
-    """Every component is a path or a subdivided claw (one degree-3 centre)."""
-    return all(
-        _component_is_path(g, comp) or _component_is_subdivided_claw(g, comp)
-        for comp in g.components()
-    )
+    """Every component is a path or a subdivided claw (one degree-3 centre).
+
+    Equivalently, g is a forest of maximum degree 3 in which no component
+    holds two degree-3 vertices: a tree with one such vertex has three
+    leaves, and a tree with none is a path.
+    """
+    if g.max_degree() > 3:
+        return False
+    comps = g.component_masks()
+    if len(g.edges) != g.n - len(comps):  # not a forest
+        return False
+    centres = sum(1 << v for v, nbrs in enumerate(g.adj) if nbrs.bit_count() == 3)
+    return all((comp & centres).bit_count() <= 1 for comp in comps)
 
 
 # -- planarity -----------------------------------------------------------

@@ -8,7 +8,8 @@ recomputed.
 Families:
 
 * ``wall(h)`` / ``subdivided_wall(h, k)``: the brick-wall graphs (max degree
-  3, planar, bipartite) and their uniform edge subdivisions.
+  3, planar, bipartite; the tests check all three, bipartiteness with
+  networkx) and their uniform edge subdivisions.
 * ``grid(n)``: the n-by-n grid with its singleton-cell partition (offset 1).
 * ``p6_diamond_base(n)`` / ``p6_diamond_witness(n)``: a layered construction
   of b-r-w cell paths tied to border vertices by staircase adjacencies;

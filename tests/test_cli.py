@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cwkit
 from cwkit.cli import resolve_graph, run
@@ -13,7 +15,7 @@ from cwkit.errors import InputError
 from cwkit.graphs import EDGE_LIST_CAP, to_edge_list, to_graph6
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import graph_named
-from cwkit.witnesses import p6_diamond_base
+from cwkit.witnesses import FAMILIES, p6_diamond_base
 
 
 def invoke(*argv):
@@ -113,6 +115,17 @@ def test_cw_exact_and_eval(tmp_path):
     assert code == 0 and "width=2" in out and "n=2 m=1" in out
 
 
+def test_unreadable_files_are_input_errors(tmp_path):
+    # A directory cannot be opened, and a file that is not UTF-8 cannot be
+    # read as text; both are input errors, for graphs and for expressions.
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (str(tmp_path), str(binary)):
+        for argv in (("classify", "single", path), ("cw", "eval", path)):
+            code, out, err = invoke(*argv)
+            assert code == 2 and out == "" and "cannot read" in err, argv
+
+
 def test_cw_exact_capacity():
     code, _, err = invoke("cw", "exact", "grid(3)")
     assert code == 3 and "capped" in err
@@ -132,6 +145,63 @@ def test_free_check_exit_codes():
 def test_parse_error_exit_code():
     code, _, err = invoke("classify", "pair", "P4", "S_3_2_1")
     assert code == 2 and "error" in err
+
+
+# Good and malformed names and graph6 strings; "." is a directory and
+# "missing.g6" a file that does not exist.
+_ATOMS = st.one_of(
+    st.sampled_from(
+        ["P4", "K1_3", "paw", "gem", "S_1_2_3", "co(2P1+P3)", "Dhc", "?", "A_", "D", "~~", "D a",
+         "Dh\u00e9", "co(", "P4+", "S_1_2", "((", "", ".", "missing.g6"]
+    ),
+    st.builds("{}{}".format, st.sampled_from(["P", "K", "C", "2P", "K1_", "co(P"]), st.integers(-3, 6)),
+)
+_GRAPHS = st.one_of(_ATOMS, st.builds("{}+{}".format, _ATOMS, _ATOMS), st.builds("co({})".format, _ATOMS))
+_INTS = st.integers(-3, 4).map(str)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["classify", "colouring", "cw", "free-check", "witness", "scan"]))
+    graphs = lambda count: [draw(_GRAPHS) for _ in range(count)]
+    if command == "classify":
+        mode = draw(st.sampled_from(["pair", "single", "family"]))
+        argv = ["classify", mode]
+        if mode == "family":
+            argv += ["--relation", draw(st.sampled_from(["subgraph", "minor", "topminor", "induced"]))]
+        argv += graphs({"pair": 2, "single": 1}.get(mode) or draw(st.integers(1, 3)))
+    elif command == "colouring":
+        argv = ["colouring", "pair"] + graphs(2)
+    elif command == "cw":
+        if draw(st.booleans()):
+            argv = ["cw", "exact"] + graphs(1)
+            if draw(st.booleans()):
+                argv += ["--max-n", draw(_INTS)]
+        else:
+            argv = ["cw", "eval", draw(st.sampled_from([".", "missing.cwx"]))]
+    elif command == "free-check":
+        argv = ["free-check"] + graphs(1) + ["--patterns"] + graphs(draw(st.integers(1, 2)))
+    elif command == "witness":
+        argv = ["witness", draw(st.sampled_from(sorted(FAMILIES) + ["nope"]))]
+        argv += draw(st.lists(_INTS, min_size=1, max_size=2))
+        argv += draw(st.lists(st.sampled_from(["--verify-free", "--certify"]), unique=True))
+    else:
+        argv = ["scan", "--max-vertices", draw(_INTS.filter(lambda k: int(k) <= 3))]
+    if draw(st.booleans()):
+        argv.append("--json")  # not every command takes it: then argparse exits 2
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    try:
+        code, _, err = invoke(*argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv  # argparse's usage error
+    else:
+        assert code in range(5), argv
+        assert "Traceback" not in err, argv
 
 
 def test_non_ascii_graph6_argument_is_a_parse_error():
@@ -311,7 +381,7 @@ def test_long_cycle_probe_needs_no_deep_recursion(name):
 
 def test_lexicographic_embedding_of_a_big_pattern_fits_in_one_gib(tmp_path):
     # An 800-vertex circular ladder against a relabelled copy of itself: the
-    # lexicographic pass of contains_induced (and so find_isomorphism) must
+    # lexicographic pass of contains_induced (and so free-check) must
     # reuse the first pass's steps, not hold a step list per pinned vertex,
     # which for this pattern would take about n**3/3 references.
     import random

@@ -12,15 +12,10 @@ from cwkit.graphs import (
     Graph,
     complement,
     complement_bipartite,
-    complement_subgraph,
-    contract_edge,
-    delete_vertex,
     disjoint_union,
-    dissolve_vertex,
     from_edge_list,
     from_graph6,
     induced_subgraph,
-    subdivide_edge,
     to_edge_list,
     to_graph6,
 )
@@ -75,73 +70,6 @@ def test_induced_subgraph_fixtures():
         induced_subgraph(c5, [4, 5])
 
 
-def test_subdivide_and_dissolve():
-    p2 = graph_named("P2")
-    p3 = subdivide_edge(p2, 0, 1)
-    assert is_isomorphic(p3, graph_named("P3"))
-    back = dissolve_vertex(p3, 2)
-    assert is_isomorphic(back, p2)
-    with pytest.raises(InputError):
-        subdivide_edge(p2, 0, 0)
-    with pytest.raises(InputError):
-        dissolve_vertex(graph_named("P4"), 0)  # degree 1
-    with pytest.raises(InputError):
-        dissolve_vertex(graph_named("K3"), 0)  # neighbours adjacent
-
-
-def test_subdivide_dissolve_inverse_property():
-    rng = random.Random(5)
-    for _ in range(100):
-        g = random_graph(rng, rng.randint(2, 8))
-        if not g.edges:
-            continue
-        u, v = sorted(g.edges)[rng.randrange(len(g.edges))]
-        sub = subdivide_edge(g, u, v)
-        restored = dissolve_vertex(sub, g.n)
-        assert is_isomorphic(restored, g)
-
-
-def test_contract_fixtures():
-    c4 = graph_named("C4")
-    u, v = sorted(c4.edges)[0]
-    assert is_isomorphic(contract_edge(c4, u, v), graph_named("K3"))
-    with pytest.raises(InputError):
-        contract_edge(graph_named("2P2"), 0, 2)
-
-
-def test_contract_matches_networkx():
-    rng = random.Random(23)
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(2, 8))
-        if not g.edges:
-            continue
-        u, v = sorted(g.edges)[rng.randrange(len(g.edges))]
-        mine = contract_edge(g, u, v)
-        G = nx.Graph()
-        G.add_nodes_from(range(g.n))
-        G.add_edges_from(g.edges)
-        H = nx.contracted_nodes(G, u, v, self_loops=False)
-        assert mine.n == H.number_of_nodes()
-        assert len(mine.edges) == H.number_of_edges()
-        theirs = nx.Graph()
-        relabel = {x: i for i, x in enumerate(sorted(H.nodes()))}
-        theirs.add_nodes_from(range(mine.n))
-        theirs.add_edges_from((relabel[a], relabel[b]) for a, b in H.edges())
-        assert is_isomorphic(mine, Graph(mine.n, theirs.edges()))
-
-
-def test_subgraph_complementation():
-    k4 = graph_named("K4")
-    assert complement_subgraph(k4, range(4)).edges == frozenset()
-    rng = random.Random(7)
-    for _ in range(50):
-        g = random_graph(rng, rng.randint(1, 8))
-        inside = [v for v in range(g.n) if rng.random() < 0.5]
-        once = complement_subgraph(g, inside)
-        twice = complement_subgraph(once, inside)
-        assert twice == g
-
-
 def test_bipartite_complementation():
     two_p2 = Graph(4, [(0, 1), (2, 3)])
     flipped = complement_bipartite(two_p2, [0, 1], [2, 3])
@@ -167,22 +95,13 @@ def test_bipartite_complementation_involution_and_count():
         assert complement_bipartite(once, x, y) == g
 
 
-def test_delete_vertex_renumbers():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)], names={3: "end"})
-    h = delete_vertex(g, 1)
-    assert h.n == 3 and h.edges == frozenset({(1, 2)})
-    assert h.names == {2: "end"}
-
-
 def test_basic_queries():
     c7 = graph_named("C7")
     assert c7.max_degree() == 2
     assert c7.is_connected()
-    assert c7.bipartition() is None
     assert wall(3).max_degree() == 3
     g = graph_named("2P3")
     assert len(g.components()) == 2
-    assert g.bipartition() is not None
     assert Graph(1).is_connected()
     assert Graph(0).is_connected()
 
@@ -190,9 +109,9 @@ def test_basic_queries():
 def test_basic_queries_record():
     # The fields the removed basic_queries record bundled, read from Graph.
     c7 = graph_named("C7")
-    assert c7.max_degree() == 2 and c7.is_connected() and c7.bipartition() is None
+    assert c7.max_degree() == 2 and c7.is_connected()
     g = graph_named("2P3")
-    assert len(g.components()) == 2 and g.bipartition() is not None
+    assert len(g.components()) == 2
     assert tuple(g.degree(v) for v in range(g.n)) == (1, 2, 1, 1, 2, 1)
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from cwkit.errors import CapacityError
 from cwkit.graphs import Graph, complement
-from cwkit.isomorphism import canonical_key, find_isomorphism, is_isomorphic
+from cwkit.isomorphism import canonical_key, is_isomorphic
 from cwkit.names import graph_named
+from cwkit.patterns import contains_induced
 
 
 def permuted(g, perm):
@@ -36,7 +37,9 @@ def test_canonical_key_separates_nonisomorphic():
     assert len(keys) == 156
 
 
-def test_find_isomorphism_returns_valid_map():
+def test_contains_induced_maps_relabelled_copies():
+    # g embeds induced in a relabelled copy h of itself; with equal orders
+    # the embedding is an isomorphism g -> h.
     rng = random.Random(77)
     for _ in range(100):
         n = rng.randint(1, 10)
@@ -44,8 +47,10 @@ def test_find_isomorphism_returns_valid_map():
         perm = list(range(n))
         rng.shuffle(perm)
         h = permuted(g, perm)
-        mapping = find_isomorphism(g, h)
-        assert mapping is not None
+        emb = contains_induced(h, g)
+        assert emb is not None
+        mapping = emb.mapping
+        assert sorted(mapping) == list(range(n))
         for u in range(n):
             for v in range(u + 1, n):
                 assert g.has_edge(u, v) == h.has_edge(mapping[u], mapping[v])
@@ -86,8 +91,9 @@ def test_random_regular_graphs_agree_with_networkx():
         for h, H in ((copy, nx.relabel_nodes(G, dict(enumerate(perm)))), (other, K)):
             expected = nx.is_isomorphic(G, H)
             assert is_isomorphic(g, h) == expected
-            mapping = find_isomorphism(g, h)
-            assert (mapping is not None) == expected
-            if mapping is not None:
-                assert sorted(mapping) == sorted(mapping.values()) == list(range(n))
+            emb = contains_induced(h, g)
+            assert (emb is not None) == expected
+            if emb is not None:
+                mapping = emb.mapping
+                assert sorted(mapping) == list(range(n))
                 assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges)

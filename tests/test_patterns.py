@@ -1,4 +1,5 @@
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from conftest import naive_contains_induced, naive_has_induced_cycle_at_least
 from cwkit.enumeration import nonisomorphic_graphs, nonisomorphic_graphs_upto
 from cwkit.errors import CapacityError, InputError
-from cwkit.graphs import Graph, complement
-from cwkit.names import graph_named
+from cwkit.graphs import Graph, complement, induced_subgraph
+from cwkit.names import format_name, graph_named, recognize
 from cwkit.patterns import (
     Embedding,
     contains_induced,
@@ -145,6 +146,23 @@ def test_class_s_implies_sparse_forest():
             assert len(g.edges) == g.n - len(g.component_masks())
 
 
+def test_class_s_matches_component_names_upto_8():
+    # Independent reference: every component is named a path, the claw or a
+    # subdivided claw by the catalogue.
+    shape = re.compile(r"P\d+|K1_3|S_\d+_\d+_\d+")
+
+    def named_path_or_claw(h):
+        name = recognize(h)
+        return name is not None and shape.fullmatch(format_name(name)) is not None
+
+    members = 0
+    for g in nonisomorphic_graphs_upto(8):
+        expected = all(named_path_or_claw(induced_subgraph(g, comp)) for comp in g.components())
+        assert in_class_S(g) == expected, g
+        members += expected
+    assert members == 104
+
+
 def test_paw_free_connected_structure_small():
     # A connected graph is complete multipartite iff it has no induced P1+P2.
     paw, p1p2, k3 = graph_named("paw"), graph_named("P1+P2"), graph_named("K3")
@@ -220,23 +238,6 @@ def test_long_cycle_probe_matches_chordality():
         G.add_nodes_from(range(g.n))
         G.add_edges_from(g.edges)
         assert has_induced_cycle_at_least(g, 4) == (not nx.is_chordal(G))
-
-
-def test_bipartition_matches_networkx():
-    rng = random.Random(19)
-    for _ in range(150):
-        n = rng.randint(0, 10)
-        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
-        G = nx.Graph()
-        G.add_nodes_from(range(n))
-        G.add_edges_from(g.edges)
-        two = g.bipartition()
-        assert (two is not None) == nx.is_bipartite(G)
-        if two is not None:
-            black, white = two
-            assert sorted(black + white) == list(range(n))
-            side = {v: 0 for v in black} | {v: 1 for v in white}
-            assert all(side[u] != side[v] for u, v in g.edges)
 
 
 def test_probe_guards():
