@@ -1,10 +1,14 @@
 """Exhaustive classification scan over all small forbidden pairs.
 
-Enumerates the non-isomorphic graphs up to a vertex budget, compiles each
+Enumerates the non-isomorphic graphs up to a vertex budget, decides each
 graph's rule sides once, and then classifies every unordered pair of graph
-ids.  The scan doubles as the consistency harness: it reports any pair on
-which a bounded rule and an unbounded rule both fire, and any pair that
-neither matches a rule nor is equivalent to a listed open case.
+ids.  The sides are ``cw_facts``'s, decided another way: the pair table's
+``>=X`` tokens for all graphs of one order at once (the level profiles
+below), its other tokens per graph by the classifier's ``_holds``.  A
+tier-1 test holds the two ways equal.  The scan doubles as the consistency
+harness: it reports any pair on which a bounded rule and an unbounded rule
+both fire, and any pair that neither matches a rule nor is equivalent to a
+listed open case.
 
 A pair's class is closed under complementing both graphs and under swapping
 K3 with the paw at either position.  The swap acts on one position at a
@@ -44,14 +48,16 @@ and the class pairs only count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import permutations
 from time import perf_counter
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .classifier import BOUNDED_BITS, PAIR_RULES, UNBOUNDED_BITS, Status, display_name
-from .classifier import fire, open_case, pair_class, pair_sides
-from .enumeration import canonical_keys_upto, nonisomorphic_graphs_upto
-from .graphs import Graph, complement
-from .isomorphism import canonical_key
+from .classifier import _holds, _pattern, fire, open_case, pair_class
+from .enumeration import _level, canonical_keys_upto, nonisomorphic_graphs_upto
+from .graphs import Graph
+from .isomorphism import canonical_key, canonical_key_adj
 from .names import graph_named
 
 __all__ = ["ScanResult", "scan_pairs"]
@@ -133,6 +139,189 @@ def _id_pairs(ids: list[int], other: list[int]) -> list[tuple[int, int]]:
     return [(min(i, j), max(i, j)) for i in ids for j in other if ids is not other or i <= j]
 
 
+# -- level profiles ---------------------------------------------------------
+#
+# The scan decides the pair table's >=X tokens for all graphs of one order at
+# once.  Graph i of a level is bit i of a Python int: a level's plane for the
+# vertex pair (u, v) has bit i set when graph i has the edge uv, and its
+# profile for pattern X has bit i set when graph i contains X induced.
+#
+# A labelled graph on vertices 0..k-1 has the edge code
+# e(0,1) e(0,2) e(1,2) e(0,3) ... e(k-2,k-1): the adjacency of each vertex to
+# the earlier ones, in turn.  So the code of a graph on k+1 vertices extends
+# the code of its first k.  A trie holds the codes of every labelling of every
+# pattern; a node whose code is a whole labelled pattern names it.  The walk
+# grows each vertex subset in increasing order, one vertex (and one row of
+# edges) at a time, carrying the mask of the graphs whose induced labelled
+# subgraph on the subset is the node's code: the edge bit splits a mask into
+# mask & plane and the rest, and a branch stops when its mask is 0 or the
+# trie has no child.  A node that names X ORs its mask into X's profile.  The
+# subsets of a graph with an induced X include one that induces it in the
+# order of some labelling of X, so the profile is exactly has_induced(g, X).
+
+
+@lru_cache(maxsize=None)
+def _profile_patterns() -> tuple[str, ...]:
+    """The names X of the pair table's >=X tokens, own and ``co `` alike, in
+    the order the table first writes them; profile bit p is pattern p."""
+    names: dict[str, None] = {}
+    for rule in PAIR_RULES:
+        for side in (rule.left, rule.right):
+            for token in side or ():
+                token = token.removeprefix("co ")
+                if token.startswith(">="):
+                    names.setdefault(token[2:])
+    return tuple(names)
+
+
+@lru_cache(maxsize=None)
+def _code_trie() -> tuple[list, int]:
+    """(root, the patterns' largest order).  A node is [child on a non-edge,
+    child on an edge, the profile bits of the patterns its code names]."""
+    root: list = [None, None, 0]
+    top = 0
+    for p, name in enumerate(_profile_patterns()):
+        x = _pattern(name)
+        top = max(top, x.n)
+        for perm in permutations(range(x.n)):
+            node = root
+            for b in range(1, x.n):
+                for a in range(b):
+                    bit = x.adj[perm[a]] >> perm[b] & 1
+                    if node[bit] is None:
+                        node[bit] = [None, None, 0]
+                    node = node[bit]
+            node[2] |= 1 << p
+    return root, top
+
+
+def _planes(keys: Sequence[tuple], n: int) -> list[list[int]]:
+    """planes[v][u], u < v: the plane of the n-vertex graphs ``keys`` for the
+    vertex pair (u, v).
+
+    A key's rows, written out in order, are its edge code (vertex 0 in each
+    row's highest bit), so the codes of all graphs, joined, are read one
+    vertex pair at a time by striding over the text."""
+    width = n * (n - 1) // 2
+    codes = []
+    for key in keys:
+        code = 0
+        for v, row in enumerate(key[1]):
+            code = code << v | row
+        codes.append(code)
+    text = "".join([format(code, f"0{width}b") for code in codes])
+    # reversed, so that graph i is bit i of the plane
+    return [[int(text[v * (v - 1) // 2 + u :: width][::-1], 2) for u in range(v)] for v in range(n)]
+
+
+def _profiles(keys: Sequence[tuple], n: int) -> list[int]:
+    """Per profile pattern, the bits of the n-vertex graphs that contain it
+    induced; graph i is given as ``keys[i]``, in the form ``graph_of_key``
+    reads."""
+    profiles = [0] * len(_profile_patterns())
+    if n < 3:  # no pattern has fewer than three vertices
+        return profiles
+    root, top = _code_trie()
+    rows = _planes(keys, n)
+
+    def grow(node: list, mask: int, chosen: tuple[int, ...]) -> None:
+        hits = node[2]
+        while hits:
+            low = hits & -hits
+            profiles[low.bit_length() - 1] |= mask
+            hits ^= low
+        if len(chosen) < top:
+            for v in range(chosen[-1] + 1 if chosen else 0, n):
+                join(node, mask, chosen + (v,), rows[v], 0)
+
+    def join(node: list, mask: int, chosen: tuple[int, ...], row: list[int], a: int) -> None:
+        # the edge between chosen[a] and the new vertex, the last one chosen
+        if a == len(chosen) - 1:
+            grow(node, mask, chosen)
+            return
+        off, on, _ = node
+        present = mask & row[chosen[a]]
+        if on is not None and present:
+            join(on, present, chosen, row, a + 1)
+        if off is not None and mask != present:
+            join(off, mask ^ present, chosen, row, a + 1)
+
+    grow(root, (1 << len(keys)) - 1, ())
+    return profiles
+
+
+class _Side(NamedTuple):
+    """One rule side, compiled for the graphs of one order: it holds when the
+    graph's profile meets ``patterns``, or else at its first token of
+    ``others`` that ``_holds`` accepts."""
+
+    bit: int  # the rule's bit
+    patterns: int  # profile bits of the side's >=X tokens
+    others: tuple[str, ...]  # its other tokens, in written order
+
+
+@lru_cache(maxsize=None)
+def _compiled_sides(n: int) -> tuple[tuple[int, tuple[_Side, ...]], ...]:
+    """The pair table's sides as ``cw_facts`` reads them, in its order (own
+    left, own right, dual left, dual right), each as (the bits of the sides
+    that always hold, the other sides) for graphs with n vertices.  The own
+    pair reads the tokens without ``co ``, the dual pair the ones with it,
+    stripped.  An induced subgraph of X has at most as many vertices as X, so
+    a ``<=X`` token whose X has fewer than n vertices is left out."""
+    bit_of = {name: 1 << p for p, name in enumerate(_profile_patterns())}
+    out = []
+    for dual in (False, True):
+        for at in (0, 1):
+            always, sides = 0, []
+            for r, rule in enumerate(PAIR_RULES):
+                side = (rule.left, rule.right)[at]
+                if side is None:
+                    always |= 1 << r
+                    continue
+                tokens = [t[3:] if dual else t for t in side if t.startswith("co ") == dual]
+                patterns = sum(bit_of[t[2:]] for t in tokens if t.startswith(">="))
+                others = tuple(
+                    t
+                    for t in tokens
+                    if not t.startswith(">=") and not (t.startswith("<=") and _pattern(t[2:]).n < n)
+                )
+                if patterns or others:
+                    sides.append(_Side(1 << r, patterns, others))
+            out.append((always, tuple(sides)))
+    return tuple(out)
+
+
+def _level_sides(n: int, graphs: list[Graph]) -> list[tuple[int, int, int, int]]:
+    """``cw_facts(g)`` for each graph g of ``_level(n)``, given in its order:
+    the >=X tokens read off the level profiles, the rest decided by
+    ``_holds``."""
+    profiles = _profiles(_level(n), n)
+    # one int per graph, bit p for profile pattern p
+    texts = [format(profile, f"0{len(graphs)}b") for profile in reversed(profiles)]
+    per_graph = [int("".join(bits), 2) for bits in zip(*texts)][::-1]
+    compiled = _compiled_sides(n)
+    out = []
+    for g, profile in zip(graphs, per_graph):
+        decided: dict[str, bool] = {}
+        facts = []
+        for always, sides in compiled:
+            bits = always
+            for bit, patterns, others in sides:
+                if profile & patterns:
+                    bits |= bit
+                    continue
+                for t in others:
+                    held = decided.get(t)
+                    if held is None:
+                        held = decided[t] = _holds(t, g)
+                    if held:
+                        bits |= bit
+                        break
+            facts.append(bits)
+        out.append(tuple(facts))
+    return out
+
+
 def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
     t = perf_counter()
     graphs = nonisomorphic_graphs_upto(max_vertices)
@@ -140,11 +329,14 @@ def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
     clock["enumerate"] = perf_counter() - t
     t = perf_counter()
     ids = {k: i for i, k in enumerate(keys)}
-    # complementing is an involution: one key per complement pair
+    # complementing is an involution: one key per complement pair, computed
+    # from the complement's adjacency masks without building it
     co = [-1] * len(graphs)
     for i, g in enumerate(graphs):
         if co[i] < 0:
-            j = ids[canonical_key(complement(g))]
+            n = g.n
+            full = (1 << n) - 1
+            j = ids[canonical_key_adj(tuple(full ^ a ^ 1 << v for v, a in enumerate(g.adj)), n)]
             co[i], co[j] = j, i
     # K3 and the paw swap only when both are in range.
     k3 = ids.get(canonical_key(graph_named("K3")))
@@ -152,7 +344,11 @@ def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
     partner = {k3: paw, paw: k3} if k3 is not None and paw is not None else {}
     clock["keys"] = perf_counter() - t
     t = perf_counter()
-    sides = [pair_sides(g, graphs[co[i]]) for i, g in enumerate(graphs)]
+    facts: list[tuple[int, int, int, int]] = []
+    for n in range(1, max_vertices + 1):
+        facts += _level_sides(n, graphs[len(facts) : len(facts) + len(_level(n))])
+    # pair_sides: the graph's own sides and its complement's dual ones
+    sides = [(f[0] | facts[c][2], f[1] | facts[c][3]) for f, c in zip(facts, co)]
     # orbit sides: each orbit's two members share their ORed sides
     for a, b in ((k3, paw), (co[k3], co[paw])) if partner else ():
         sides[a] = sides[b] = (sides[a][0] | sides[b][0], sides[a][1] | sides[b][1])

@@ -2,16 +2,21 @@ import contextlib
 import hashlib
 import io
 import json
+import random
+from itertools import permutations
 
 import pytest
 
-from cwkit.classifier import PAIR_RULES, Status, classify_pair, fire, pair_sides
+from cwkit.classifier import PAIR_RULES, Status, classify_pair, cw_facts, fire, pair_sides
 from cwkit.cli import run
 from cwkit.enumeration import _level, nonisomorphic_graphs, nonisomorphic_graphs_upto
 from cwkit.errors import CapacityError
-from cwkit.isomorphism import canonical_key
+from cwkit.graphs import Graph, complement
+from cwkit.isomorphism import canonical_key, graph_of_key
 from cwkit.names import graph_named
-from cwkit.scan import PHASES, _catalogue, _class_pairs, _id_pairs, scan_pairs
+from cwkit.patterns import has_induced
+from cwkit.scan import PHASES, _catalogue, _class_pairs, _id_pairs, _level_sides, _profile_patterns
+from cwkit.scan import _profiles, scan_pairs
 
 
 def test_scan_cross_checks_the_pairwise_classifier():
@@ -90,6 +95,72 @@ def test_row_kernel_matches_pair_kernel():
     n = len(cat.graphs)
     assert seen == {(i, j) for i in range(n) for j in range(i, n)}
     assert len(seen) == weights == scan_pairs(6).pair_count == 21736
+
+
+def _checked_ids(n: int) -> range | list[int]:
+    # every graph up to 7 vertices, a seeded sample of the 12,346 at 8
+    count = len(_level(n))
+    return range(count) if n <= 7 else sorted(random.Random(8).sample(range(count), 600))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_level_profiles_match_the_search(n):
+    # the scan reads its >=X tokens off the level profiles; each bit must be
+    # the induced-subgraph search's answer, and the rule sides built on them
+    # must be cw_facts
+    names = _profile_patterns()
+    assert len(names) == 15
+    patterns = [graph_named(name) for name in names]
+    keys = _level(n)
+    profiles = _profiles(keys, n)
+    graphs = [graph_of_key(key) for key in keys]
+    sides = _level_sides(n, graphs)
+    for i in _checked_ids(n):
+        g = graphs[i]
+        assert [profile >> i & 1 for profile in profiles] == [has_induced(g, x) for x in patterns], keys[i]
+        assert sides[i] == cw_facts(g), keys[i]
+
+
+def _key_of(g: Graph) -> tuple:
+    # g's own labelling in the (n, rows) form graph_of_key reads
+    return (g.n, tuple(sum(1 << (v - 1 - u) for u in range(v) if g.adj[v] >> u & 1) for v in range(g.n)))
+
+
+def test_profiles_find_every_labelling_of_every_pattern():
+    # canonical keys show only some labellings of a pattern, and a labelled
+    # copy of X on |X| vertices is found only through its own code, so every
+    # code of the trie is checked here
+    patterns = [graph_named(name) for name in _profile_patterns()]
+    for x in patterns:
+        copies = {Graph(x.n, [(p[u], p[v]) for u, v in x.edges]) for p in permutations(range(x.n))}
+        copies = sorted(copies, key=lambda g: sorted(g.edges))
+        profiles = _profiles([_key_of(g) for g in copies], x.n)
+        for i, g in enumerate(copies):
+            assert graph_of_key(_key_of(g)) == g
+            assert [profile >> i & 1 for profile in profiles] == [has_induced(g, y) for y in patterns], g
+
+
+def test_catalogue_sides_are_the_pair_sides():
+    # outside the K3/paw and 3P1/P1+P3 orbits a graph's catalogue sides are
+    # pair_sides(g, co g); inside, the orbit's ORed sides
+    cat = _catalogue(8, {})
+    orbits = {}
+    for a, b in cat.partner.items():
+        orbits[a], orbits[cat.co[a]] = (a, b), (cat.co[a], cat.co[b])
+    offset = 0
+    for n in range(1, 9):
+        for i in _checked_ids(n):
+            i += offset
+            g = cat.graphs[i]
+            assert canonical_key(complement(g)) == cat.keys[cat.co[i]]
+            left = right = 0
+            for j in orbits.get(i, (i,)):
+                h = cat.graphs[j]
+                sides = pair_sides(h, complement(h))
+                left, right = left | sides[0], right | sides[1]
+            assert cat.sides[i] == (left, right), cat.keys[i]
+        offset += len(_level(n))
+    assert offset == len(cat.graphs)
 
 
 def test_scan_json_keys_and_rule_fires():
