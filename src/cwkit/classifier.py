@@ -44,7 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Hashable, Optional, TypeVar
+from math import inf
+from typing import Callable, Hashable, NamedTuple, Optional, TypeVar
 
 from .errors import InputError, InvariantViolation
 from .graphs import Graph, complement, induced_subgraph, to_graph6
@@ -158,30 +159,6 @@ def _holds(token: str, g: Graph) -> bool:
     return _FLAGS[token](g)
 
 
-@lru_cache(maxsize=None)
-def cw_facts(g: Graph) -> tuple[int, int, int, int]:
-    """The pair rules' side bitmasks on g: (own_left, own_right, dual_left,
-    dual_right).  The own pair reads g's own tokens, the dual pair the
-    ``co `` tokens decided on g, as they read when g is the complement."""
-    holds = lru_cache(maxsize=None)(lambda t: _holds(t, g))
-    own = rule_sides(PAIR_RULES, lambda t: not t.startswith("co ") and holds(t))
-    dual = rule_sides(PAIR_RULES, lambda t: t.startswith("co ") and holds(t[3:]))
-    return own + dual
-
-
-def pair_sides(g: Graph, co: Graph) -> tuple[int, int]:
-    """Pair rule sides of g, whose complement is co."""
-    own_left, own_right, _, _ = cw_facts(g)
-    _, _, dual_left, dual_right = cw_facts(co)
-    return own_left | dual_left, own_right | dual_right
-
-
-@lru_cache(maxsize=None)
-def colouring_facts(g: Graph) -> tuple[int, int]:
-    """The colouring rules' left and right side bitmasks on g."""
-    return rule_sides(COLOURING_RULES, lru_cache(maxsize=None)(lambda t: _holds(t, g)))
-
-
 @dataclass(frozen=True)
 class Rule:
     """One table row.  Each side holds when one of its tokens holds for the
@@ -241,6 +218,98 @@ BOUNDED_BITS = _status_bits(PAIR_RULES, Status.BOUNDED)
 UNBOUNDED_BITS = _status_bits(PAIR_RULES, Status.UNBOUNDED)
 
 
+# -- compiled tables ----------------------------------------------------------
+
+
+class RuleTable(NamedTuple):
+    """A rule table compiled for ``decide_sides``.  Per view and position,
+    ``views`` holds the bits of the rules whose side is None and the other
+    sides.  A side is (the rule's bit, the pattern bits of its >=X tokens,
+    its tokens in written order); a token is (itself, its pattern bit or 0,
+    the largest order of a graph it can hold on)."""
+
+    patterns: tuple[str, ...]  # pattern bit p is the X of the tokens >=X, X = patterns[p]
+    views: tuple
+
+
+def _compile(rules: tuple[Rule, ...], views: tuple[Optional[bool], ...]) -> RuleTable:
+    """The table's sides, left then right for each view: a view reads the
+    ``co `` tokens, stripped (True), the others (False) or every token
+    (None).  An induced subgraph of X has at most as many vertices as X."""
+    bits: dict[str, int] = {}
+
+    def entry(token: str) -> tuple[str, int, float]:
+        if token.startswith(">="):
+            return token, bits.setdefault(token[2:], 1 << len(bits)), inf
+        return token, 0, _pattern(token[2:]).n if token.startswith("<=") else inf
+
+    compiled = []
+    for co in views:
+        for at in (0, 1):
+            always, sides = 0, []
+            for r, rule in enumerate(rules):
+                side = (rule.left, rule.right)[at]
+                if side is None:
+                    always |= 1 << r
+                    continue
+                tokens = tuple(entry(t.removeprefix("co ")) for t in side if co is None or t.startswith("co ") == co)
+                if tokens:
+                    sides.append((1 << r, sum(p for _, p, _ in tokens), tokens))
+            compiled.append((always, tuple(sides)))
+    return RuleTable(tuple(bits), tuple(compiled))
+
+
+def decide_sides(table: RuleTable, g: Graph, profile: Optional[int] = None) -> tuple[int, ...]:
+    """The bitmasks of the rules whose side holds on g, per view and
+    position, each token decided at most once.  Without ``profile`` a side
+    decides its tokens in written order and stops at the first that holds.
+    With it (bit p set when g contains pattern p, as a scan level reads it)
+    a side tests the profile first and searches none of its >=X tokens."""
+    read = profile is not None
+    decided: dict[str, bool] = {}
+    out = []
+    for always, sides in table.views:
+        bits = always
+        for bit, mask, tokens in sides:
+            if read and profile & mask:
+                bits |= bit
+                continue
+            for token, pattern, top in tokens:
+                if g.n > top or read and pattern:
+                    continue
+                if token not in decided:
+                    decided[token] = _holds(token, g)
+                if decided[token]:
+                    bits |= bit
+                    break
+        out.append(bits)
+    return tuple(out)
+
+
+PAIR_TABLE = _compile(PAIR_RULES, (False, True))
+
+
+@lru_cache(maxsize=None)
+def cw_facts(g: Graph) -> tuple[int, int, int, int]:
+    """The pair rules' side bitmasks on g: (own_left, own_right, dual_left,
+    dual_right).  The own pair reads g's own tokens, the dual pair the
+    ``co `` tokens decided on g, as they read when g is the complement."""
+    return decide_sides(PAIR_TABLE, g)
+
+
+def pair_sides(g: Graph, co: Graph) -> tuple[int, int]:
+    """Pair rule sides of g, whose complement is co."""
+    own_left, own_right, _, _ = cw_facts(g)
+    _, _, dual_left, dual_right = cw_facts(co)
+    return own_left | dual_left, own_right | dual_right
+
+
+@lru_cache(maxsize=None)
+def colouring_facts(g: Graph) -> tuple[int, int]:
+    """The colouring rules' left and right side bitmasks on g."""
+    return decide_sides(COLOURING_TABLE, g)
+
+
 # -- the thirteen open cases ----------------------------------------------
 
 _OPEN_TABLE = (
@@ -266,26 +335,13 @@ OPEN_CASES: tuple[tuple[str, str, str], ...] = _open_cases()
 # -- the pair kernel --------------------------------------------------------
 #
 # classify_pair and the exhaustive scan share the steps below;
-# classify_colouring uses rule_sides and fire on its one pair.  Nodes are
+# classify_colouring uses fire on its one pair.  Nodes are
 # whatever the caller classifies: labelled graphs here, integer ids of
 # catalogue graphs in the scan.  The caller supplies, per node, its key (equal
 # exactly for isomorphic graphs), its complement, its K3/paw swap partner and
 # its rule sides.
 
 Node = TypeVar("Node")
-
-
-def rule_sides(rules: tuple[Rule, ...], holds: Callable[[str], bool]) -> tuple[int, int]:
-    """Bitmasks of the rules (bit r is ``rules[r]``) whose left and whose
-    right side hold, a side holding at its first token that ``holds``
-    accepts."""
-    left = right = 0
-    for r, rule in enumerate(rules):
-        if rule.left is None or any(map(holds, rule.left)):
-            left |= 1 << r
-        if rule.right is None or any(map(holds, rule.right)):
-            right |= 1 << r
-    return left, right
 
 
 def _unordered(kx: Hashable, ky: Hashable) -> tuple:
@@ -516,6 +572,7 @@ COLOURING_RULES: tuple[Rule, ...] = (
 )
 NP_COMPLETE_BITS = _status_bits(COLOURING_RULES, Status.NP_COMPLETE)
 POLYNOMIAL_BITS = _status_bits(COLOURING_RULES, Status.POLYNOMIAL)
+COLOURING_TABLE = _compile(COLOURING_RULES, (None,))
 
 
 COLOURING_OPEN_CASES: tuple[tuple[str, str], ...] = (

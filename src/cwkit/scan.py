@@ -53,11 +53,11 @@ from itertools import permutations
 from time import perf_counter
 from typing import Iterator, NamedTuple, Sequence
 
-from .classifier import BOUNDED_BITS, PAIR_RULES, UNBOUNDED_BITS, Status, display_name
-from .classifier import _holds, _pattern, fire, open_case, pair_class
+from .classifier import BOUNDED_BITS, PAIR_RULES, PAIR_TABLE, UNBOUNDED_BITS, Status, decide_sides, display_name
+from .classifier import _pattern, fire, open_case, pair_class
 from .enumeration import _level, canonical_keys_upto, nonisomorphic_graphs_upto
 from .graphs import Graph
-from .isomorphism import canonical_key, canonical_key_adj
+from .isomorphism import canonical_key, canonical_key_adj, graph_of_key
 from .names import graph_named
 
 __all__ = ["ScanResult", "scan_pairs"]
@@ -161,26 +161,12 @@ def _id_pairs(ids: list[int], other: list[int]) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _profile_patterns() -> tuple[str, ...]:
-    """The names X of the pair table's >=X tokens, own and ``co `` alike, in
-    the order the table first writes them; profile bit p is pattern p."""
-    names: dict[str, None] = {}
-    for rule in PAIR_RULES:
-        for side in (rule.left, rule.right):
-            for token in side or ():
-                token = token.removeprefix("co ")
-                if token.startswith(">="):
-                    names.setdefault(token[2:])
-    return tuple(names)
-
-
-@lru_cache(maxsize=None)
 def _code_trie() -> tuple[list, int]:
     """(root, the patterns' largest order).  A node is [child on a non-edge,
     child on an edge, the profile bits of the patterns its code names]."""
     root: list = [None, None, 0]
     top = 0
-    for p, name in enumerate(_profile_patterns()):
+    for p, name in enumerate(PAIR_TABLE.patterns):
         x = _pattern(name)
         top = max(top, x.n)
         for perm in permutations(range(x.n)):
@@ -218,7 +204,7 @@ def _profiles(keys: Sequence[tuple], n: int) -> list[int]:
     """Per profile pattern, the bits of the n-vertex graphs that contain it
     induced; graph i is given as ``keys[i]``, in the form ``graph_of_key``
     reads."""
-    profiles = [0] * len(_profile_patterns())
+    profiles = [0] * len(PAIR_TABLE.patterns)
     if n < 3:  # no pattern has fewer than three vertices
         return profiles
     root, top = _code_trie()
@@ -250,76 +236,14 @@ def _profiles(keys: Sequence[tuple], n: int) -> list[int]:
     return profiles
 
 
-class _Side(NamedTuple):
-    """One rule side, compiled for the graphs of one order: it holds when the
-    graph's profile meets ``patterns``, or else at its first token of
-    ``others`` that ``_holds`` accepts."""
-
-    bit: int  # the rule's bit
-    patterns: int  # profile bits of the side's >=X tokens
-    others: tuple[str, ...]  # its other tokens, in written order
-
-
-@lru_cache(maxsize=None)
-def _compiled_sides(n: int) -> tuple[tuple[int, tuple[_Side, ...]], ...]:
-    """The pair table's sides as ``cw_facts`` reads them, in its order (own
-    left, own right, dual left, dual right), each as (the bits of the sides
-    that always hold, the other sides) for graphs with n vertices.  The own
-    pair reads the tokens without ``co ``, the dual pair the ones with it,
-    stripped.  An induced subgraph of X has at most as many vertices as X, so
-    a ``<=X`` token whose X has fewer than n vertices is left out."""
-    bit_of = {name: 1 << p for p, name in enumerate(_profile_patterns())}
-    out = []
-    for dual in (False, True):
-        for at in (0, 1):
-            always, sides = 0, []
-            for r, rule in enumerate(PAIR_RULES):
-                side = (rule.left, rule.right)[at]
-                if side is None:
-                    always |= 1 << r
-                    continue
-                tokens = [t[3:] if dual else t for t in side if t.startswith("co ") == dual]
-                patterns = sum(bit_of[t[2:]] for t in tokens if t.startswith(">="))
-                others = tuple(
-                    t
-                    for t in tokens
-                    if not t.startswith(">=") and not (t.startswith("<=") and _pattern(t[2:]).n < n)
-                )
-                if patterns or others:
-                    sides.append(_Side(1 << r, patterns, others))
-            out.append((always, tuple(sides)))
-    return tuple(out)
-
-
-def _level_sides(n: int, graphs: list[Graph]) -> list[tuple[int, int, int, int]]:
-    """``cw_facts(g)`` for each graph g of ``_level(n)``, given in its order:
-    the >=X tokens read off the level profiles, the rest decided by
-    ``_holds``."""
-    profiles = _profiles(_level(n), n)
-    # one int per graph, bit p for profile pattern p
-    texts = [format(profile, f"0{len(graphs)}b") for profile in reversed(profiles)]
-    per_graph = [int("".join(bits), 2) for bits in zip(*texts)][::-1]
-    compiled = _compiled_sides(n)
-    out = []
-    for g, profile in zip(graphs, per_graph):
-        decided: dict[str, bool] = {}
-        facts = []
-        for always, sides in compiled:
-            bits = always
-            for bit, patterns, others in sides:
-                if profile & patterns:
-                    bits |= bit
-                    continue
-                for t in others:
-                    held = decided.get(t)
-                    if held is None:
-                        held = decided[t] = _holds(t, g)
-                    if held:
-                        bits |= bit
-                        break
-            facts.append(bits)
-        out.append(tuple(facts))
-    return out
+def _level_sides(n: int) -> list[tuple[int, int, int, int]]:
+    """``cw_facts`` of each graph of ``_level(n)``, in its order, with the
+    >=X tokens read off the level profiles."""
+    keys = _level(n)
+    # one int per graph, bit p for pattern p
+    texts = [format(profile, f"0{len(keys)}b") for profile in reversed(_profiles(keys, n))]
+    profiles = [int("".join(bits), 2) for bits in zip(*texts)][::-1]
+    return [decide_sides(PAIR_TABLE, graph_of_key(key), profile) for key, profile in zip(keys, profiles)]
 
 
 def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
@@ -346,7 +270,7 @@ def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
     t = perf_counter()
     facts: list[tuple[int, int, int, int]] = []
     for n in range(1, max_vertices + 1):
-        facts += _level_sides(n, graphs[len(facts) : len(facts) + len(_level(n))])
+        facts += _level_sides(n)
     # pair_sides: the graph's own sides and its complement's dual ones
     sides = [(f[0] | facts[c][2], f[1] | facts[c][3]) for f, c in zip(facts, co)]
     # orbit sides: each orbit's two members share their ORed sides

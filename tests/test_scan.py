@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from cwkit.classifier import PAIR_RULES, Status, classify_pair, cw_facts, fire, pair_sides
+from cwkit.classifier import PAIR_RULES, PAIR_TABLE, Status, classify_pair, cw_facts, fire, pair_sides
 from cwkit.cli import run
 from cwkit.enumeration import _level, nonisomorphic_graphs, nonisomorphic_graphs_upto
 from cwkit.errors import CapacityError
@@ -15,7 +15,7 @@ from cwkit.graphs import Graph, complement
 from cwkit.isomorphism import canonical_key, graph_of_key
 from cwkit.names import graph_named
 from cwkit.patterns import has_induced
-from cwkit.scan import PHASES, _catalogue, _class_pairs, _id_pairs, _level_sides, _profile_patterns
+from cwkit.scan import PHASES, _catalogue, _class_pairs, _id_pairs, _level_sides
 from cwkit.scan import _profiles, scan_pairs
 
 
@@ -108,13 +108,13 @@ def test_level_profiles_match_the_search(n):
     # the scan reads its >=X tokens off the level profiles; each bit must be
     # the induced-subgraph search's answer, and the rule sides built on them
     # must be cw_facts
-    names = _profile_patterns()
+    names = PAIR_TABLE.patterns
     assert len(names) == 15
     patterns = [graph_named(name) for name in names]
     keys = _level(n)
     profiles = _profiles(keys, n)
     graphs = [graph_of_key(key) for key in keys]
-    sides = _level_sides(n, graphs)
+    sides = _level_sides(n)
     for i in _checked_ids(n):
         g = graphs[i]
         assert [profile >> i & 1 for profile in profiles] == [has_induced(g, x) for x in patterns], keys[i]
@@ -130,7 +130,7 @@ def test_profiles_find_every_labelling_of_every_pattern():
     # canonical keys show only some labellings of a pattern, and a labelled
     # copy of X on |X| vertices is found only through its own code, so every
     # code of the trie is checked here
-    patterns = [graph_named(name) for name in _profile_patterns()]
+    patterns = [graph_named(name) for name in PAIR_TABLE.patterns]
     for x in patterns:
         copies = {Graph(x.n, [(p[u], p[v]) for u, v in x.edges]) for p in permutations(range(x.n))}
         copies = sorted(copies, key=lambda g: sorted(g.edges))
