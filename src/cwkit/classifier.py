@@ -20,20 +20,27 @@ Both rule tables run on one engine.  A rule is data: two tuples of string
 tokens, one per position (``<=P4``: an induced subgraph of P4; ``>=K1_3``:
 contains the claw; flags such as ``not-in-S``); the pair rules also read the
 complement's tokens, written with a ``co `` prefix.  A side holds when one
-of its tokens holds.  Tokens are decided on demand, in the order the table
-writes them, and a side stops at its first token that holds, so a costly
-token is decided only where the cheaper ones before it fail.  One evaluator,
-``_holds``, decides every token: adding a fact means writing its token in a
-rule, and a new flag's predicate goes in ``_FLAGS``.  ``rule_sides`` turns a
-token test into bitmasks of the rules whose left and whose right side hold.
-The per-graph cache holds those bitmasks, so each token of each graph is
-decided at most once per process: ``colouring_facts`` for the colouring
-table, and ``cw_facts`` for the pair table, on the graph's own tokens and
-on its ``co `` tokens, which ``pair_sides`` reads when the graph is the
-complement.  ``fire`` ORs the sides over the members.  The earliest rule in
-table order that fires on the first member to fire gives the verdict; rules
-of opposite statuses firing together are an internal error that names every
-fired rule.
+of its tokens holds.  Each table is compiled once, here, into sides per
+rule and view: a mask of the side's ``>=X`` patterns (each table has one
+pattern list) plus its tokens in written order.  The pair table has an own
+view (the tokens without ``co ``) and a dual view (the ``co `` tokens,
+stripped, decided on the graph as they read when it is the complement); the
+colouring table has one plain view.  One evaluator, ``decide_sides``,
+decides every side.  For a lone graph it decides tokens on demand, in
+written order, and a side stops at its first token that holds, so a costly
+token is decided only where the cheaper ones before it fail; each token is
+decided at most once per graph, across views.  A scan level passes each
+graph's profile, its ``>=X`` answers decided for the whole level at once,
+and a side tests that first.  A ``<=X`` token whose X has fewer vertices
+than the graph is false on both paths, without a search.  ``_holds`` decides
+one token: adding a fact means writing its token in a rule, and a new
+flag's predicate goes in ``_FLAGS``.  The per-graph caches hold the side
+bitmasks: ``colouring_facts`` for the colouring table, and ``cw_facts`` for
+the pair table's own and dual views, which ``pair_sides`` combines with the
+complement's.  ``fire`` ORs the sides over the members.  The earliest rule
+in table order that fires on the first member to fire gives the verdict;
+rules of opposite statuses firing together are an internal error that names
+every fired rule.
 
 Every verdict carries the rule identifier, the pair member that matched, and
 a citation anchor naming the mathematical source of the rule.

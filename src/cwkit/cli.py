@@ -46,6 +46,16 @@ def _read_text(path: str, what: str) -> str:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from None
 
 
+def _write_text(path: str, what: str, text: str) -> None:
+    """Write text to a file, closed before returning; a file that cannot be
+    opened or written raises InputError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {what} {path!r}: {exc}") from None
+
+
 def resolve_graph(arg: str) -> Graph:
     """Interpret one graph argument (name DSL, graph6 literal, or file path)."""
     errors = []
@@ -127,14 +137,12 @@ def _cmd_witness(args) -> int:
         print(f"bound={report.bound}")
     if args.out:
         payload = to_graph6(graph) + "\n" if args.format == "graph6" else to_edge_list(graph)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_text(args.out, "graph file", payload)
         print(f"wrote {args.format} to {args.out}")
     if args.out_partition:
         if partition is None:
             raise InputError(f"family {family.family_id} carries no certificate partition")
-        with open(args.out_partition, "w", encoding="utf-8") as fh:
-            fh.write(format_partition(partition))
+        _write_text(args.out_partition, "partition file", format_partition(partition))
         print(f"wrote partition to {args.out_partition}")
     return 0
 

@@ -351,6 +351,8 @@ def _solve(parts: list[_Tables], k: int) -> Optional[CwExpr]:
 
 
 def _check_input(g: Graph, k: int, max_vertices: int) -> None:
+    if max_vertices < 1:
+        raise InputError(f"the vertex cap must be at least 1, got {max_vertices}")
     if g.n > max_vertices:
         raise CapacityError(
             f"exact clique-width is capped at {max_vertices} vertices, got {g.n}; "

@@ -1,14 +1,16 @@
 """Exhaustive classification scan over all small forbidden pairs.
 
-Enumerates the non-isomorphic graphs up to a vertex budget, decides each
-graph's rule sides once, and then classifies every unordered pair of graph
-ids.  The sides are ``cw_facts``'s, decided another way: the pair table's
-``>=X`` tokens for all graphs of one order at once (the level profiles
-below), its other tokens per graph by the classifier's ``_holds``.  A
-tier-1 test holds the two ways equal.  The scan doubles as the consistency
-harness: it reports any pair on which a bounded rule and an unbounded rule
-both fire, and any pair that neither matches a rule nor is equivalent to a
-listed open case.
+Enumerates the canonical keys of the non-isomorphic graphs up to a vertex
+budget, decides each graph's rule sides once, and then classifies every
+unordered pair of graph ids.  The sides are ``cw_facts``'s, from the
+classifier's one evaluator, ``decide_sides``: the scan decides the pair
+table's ``>=X`` patterns for all graphs of one order at once (the level
+profiles below) and passes each graph's profile to it.  A graph is built
+from its key only for that call, for its complement's key and to name an
+open pair or a conflict; no list of graphs is kept.  The scan doubles as the
+consistency harness: it reports any pair on which a bounded rule and an
+unbounded rule both fire, and any pair that neither matches a rule nor is
+equivalent to a listed open case.
 
 A pair's class is closed under complementing both graphs and under swapping
 K3 with the paw at either position.  The swap acts on one position at a
@@ -55,8 +57,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .classifier import BOUNDED_BITS, PAIR_RULES, PAIR_TABLE, UNBOUNDED_BITS, Status, decide_sides, display_name
 from .classifier import _pattern, fire, open_case, pair_class
-from .enumeration import _level, canonical_keys_upto, nonisomorphic_graphs_upto
-from .graphs import Graph
+from .enumeration import _level, canonical_keys_upto
 from .isomorphism import canonical_key, canonical_key_adj, graph_of_key
 from .names import graph_named
 
@@ -101,9 +102,9 @@ class ScanResult:
 
 
 class _Catalogue(NamedTuple):
-    """The scanned graphs by id, with what the pair kernel reads per id."""
+    """The scanned graphs by id, with what the pair kernel reads per id; a
+    graph is built from its key only where it is needed."""
 
-    graphs: list[Graph]
     keys: list[tuple]
     co: list[int]  # id of the complement
     sides: list[tuple[int, int]]  # orbit sides, complement's facts included
@@ -248,19 +249,18 @@ def _level_sides(n: int) -> list[tuple[int, int, int, int]]:
 
 def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
     t = perf_counter()
-    graphs = nonisomorphic_graphs_upto(max_vertices)
     keys = canonical_keys_upto(max_vertices)
     clock["enumerate"] = perf_counter() - t
     t = perf_counter()
     ids = {k: i for i, k in enumerate(keys)}
     # complementing is an involution: one key per complement pair, computed
     # from the complement's adjacency masks without building it
-    co = [-1] * len(graphs)
-    for i, g in enumerate(graphs):
+    co = [-1] * len(keys)
+    for i, key in enumerate(keys):
         if co[i] < 0:
-            n = g.n
+            n, adj = key[0], graph_of_key(key).adj
             full = (1 << n) - 1
-            j = ids[canonical_key_adj(tuple(full ^ a ^ 1 << v for v, a in enumerate(g.adj)), n)]
+            j = ids[canonical_key_adj(tuple(full ^ a ^ 1 << v for v, a in enumerate(adj)), n)]
             co[i], co[j] = j, i
     # K3 and the paw swap only when both are in range.
     k3 = ids.get(canonical_key(graph_named("K3")))
@@ -277,17 +277,16 @@ def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
     for a, b in ((k3, paw), (co[k3], co[paw])) if partner else ():
         sides[a] = sides[b] = (sides[a][0] | sides[b][0], sides[a][1] | sides[b][1])
     clock["sides"] = perf_counter() - t
-    return _Catalogue(graphs, keys, co, sides, partner)
+    return _Catalogue(keys, co, sides, partner)
 
 
 def scan_pairs(max_vertices: int = 7) -> ScanResult:
     """Classify every unordered pair of non-isomorphic graphs, exhaustively."""
     clock: dict[str, float] = {}
     cat = _catalogue(max_vertices, clock)
-    graphs = cat.graphs
 
-    def where(i: int, j: int) -> str:
-        return f"({display_name(graphs[i])}, {display_name(graphs[j])})"
+    def name(i: int) -> str:
+        return display_name(graph_of_key(cat.keys[i]))
 
     counts = {s.value: 0 for s in (Status.BOUNDED, Status.UNBOUNDED, Status.OPEN)}
     open_pairs: list[tuple[str, str, str]] = []
@@ -314,16 +313,16 @@ def scan_pairs(max_vertices: int = 7) -> ScanResult:
         members = cat.pair_class(i, j)
         fired, _ = fire(members, cat.sides.__getitem__)
         if fired & BOUNDED_BITS and fired & UNBOUNDED_BITS:
-            conflicts.append(f"bounded and unbounded rules both fire on {where(i, j)}")
+            conflicts.append(f"bounded and unbounded rules both fire on ({name(i)}, {name(j)})")
         elif fired:
             counts[(Status.BOUNDED if fired & BOUNDED_BITS else Status.UNBOUNDED).value] += 1
         elif case := open_case(members, cat.keys.__getitem__):
             counts[Status.OPEN.value] += 1
-            open_pairs.append((display_name(graphs[i]), display_name(graphs[j]), case[0]))
+            open_pairs.append((name(i), name(j), case[0]))
         else:
-            conflicts.append(f"no rule and no open case matches {where(i, j)}")
+            conflicts.append(f"no rule and no open case matches ({name(i)}, {name(j)})")
     clock["fallback"] = perf_counter() - t
     conflicts.sort()
-    total = len(graphs) * (len(graphs) + 1) // 2
+    total = len(cat.keys) * (len(cat.keys) + 1) // 2
     phases = {phase: clock[phase] for phase in PHASES}
     return ScanResult(max_vertices, total, counts, open_pairs, conflicts, rule_fires, phases)

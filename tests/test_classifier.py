@@ -18,6 +18,7 @@ from cwkit.classifier import (
     classify_single,
     display_name,
     colouring_facts,
+    cw_facts,
     equivalence_class,
     pair_sides,
 )
@@ -230,6 +231,27 @@ def test_colouring_stops_at_the_first_token_that_holds(monkeypatch):
     colouring_facts.cache_clear()
     line = classify_colouring(grid, graph_named("P3")).line()
     assert line.startswith("status=Polynomial rule=COL-P1 matched=P3,graph6:")
+
+
+def test_pair_side_stops_at_the_first_token_that_holds(monkeypatch):
+    # U3's left side is (>=K1_3, >=2P2) and its right side (co >=4P1,
+    # co >=2P2): K1_3+P2 holds 2P2, but it holds the claw and 4P1 first, so
+    # neither side searches for 2P2
+    import cwkit.classifier as classifier
+
+    g, two_p2, search = graph_named("K1_3+P2"), graph_named("2P2"), classifier.has_induced
+
+    def guarded(host, pattern):
+        if host == g and pattern == two_p2:
+            raise AssertionError(">=2P2 decided on K1_3+P2")
+        return search(host, pattern)
+
+    monkeypatch.setattr(classifier, "has_induced", guarded)
+    cw_facts.cache_clear()
+    u3 = 1 << [rule.rule_id for rule in PAIR_RULES].index("U3")
+    own_left, _, _, dual_right = cw_facts(g)
+    assert own_left & u3 and dual_right & u3
+    assert search(g, two_p2)
 
 
 _COL_N1 = "status=NP-complete rule=COL-N1 matched={} cite=both sides keep some chordless cycle"

@@ -95,6 +95,18 @@ def test_witness_graph6_output(tmp_path):
     assert from_graph6(out_file.read_text()) == wall(2)
 
 
+def test_unwritable_output_paths_are_input_errors(tmp_path):
+    # a missing directory and a directory cannot be opened for writing; the
+    # family line is printed before the write fails, and no file is made
+    missing = tmp_path / "missing-dir" / "x.g6"
+    for flag in ("--out", "--out-partition"):
+        for path in (missing, tmp_path):
+            code, out, err = invoke("witness", "grid", "3", flag, str(path))
+            assert code == 2 and out.startswith("family=grid") and "cannot write" in err, (flag, path)
+            assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_witness_bad_params():
     code, _, err = invoke("witness", "wall", "1")
     assert code == 2
@@ -131,6 +143,12 @@ def test_cw_exact_capacity():
     assert code == 3 and "capped" in err
     code, out, _ = invoke("cw", "exact", "grid(3)", "--max-n", "9")
     assert code == 0
+
+
+def test_cw_exact_cap_below_one_is_an_input_error():
+    for cap in ("0", "-3"):
+        code, out, err = invoke("cw", "exact", "P4", "--max-n", cap)
+        assert code == 2 and out == "" and f"the vertex cap must be at least 1, got {cap}" in err
 
 
 def test_free_check_exit_codes():
@@ -185,6 +203,9 @@ def _argvs(draw):
         argv = ["witness", draw(st.sampled_from(sorted(FAMILIES) + ["nope"]))]
         argv += draw(st.lists(_INTS, min_size=1, max_size=2))
         argv += draw(st.lists(st.sampled_from(["--verify-free", "--certify"]), unique=True))
+        if draw(st.booleans()):
+            # neither path can be opened for writing, so no file is made
+            argv += [draw(st.sampled_from(["--out", "--out-partition"])), draw(st.sampled_from([".", "missing-dir/x"]))]
     else:
         argv = ["scan", "--max-vertices", draw(_INTS.filter(lambda k: int(k) <= 3))]
     if draw(st.booleans()):

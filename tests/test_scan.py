@@ -70,7 +70,8 @@ def test_scan_tiny_budget_has_no_swap_partner():
 def _kernel_fired(cat):
     """fired(i, j): the shared pair kernel, exactly as classify_pair runs it,
     on each graph's own rule sides (not the catalogue's orbit sides)."""
-    raw = [pair_sides(g, cat.graphs[cat.co[i]]) for i, g in enumerate(cat.graphs)]
+    graphs = [graph_of_key(key) for key in cat.keys]
+    raw = [pair_sides(g, graphs[cat.co[i]]) for i, g in enumerate(graphs)]
     return lambda i, j: fire(cat.pair_class(i, j), raw.__getitem__)[0]
 
 
@@ -92,7 +93,7 @@ def test_row_kernel_matches_pair_kernel():
             assert i <= j and (i, j) not in seen, (i, j)
             seen.add((i, j))
             assert got == fired(i, j), (i, j)
-    n = len(cat.graphs)
+    n = len(cat.keys)
     assert seen == {(i, j) for i in range(n) for j in range(i, n)}
     assert len(seen) == weights == scan_pairs(6).pair_count == 21736
 
@@ -113,10 +114,9 @@ def test_level_profiles_match_the_search(n):
     patterns = [graph_named(name) for name in names]
     keys = _level(n)
     profiles = _profiles(keys, n)
-    graphs = [graph_of_key(key) for key in keys]
     sides = _level_sides(n)
     for i in _checked_ids(n):
-        g = graphs[i]
+        g = graph_of_key(keys[i])
         assert [profile >> i & 1 for profile in profiles] == [has_induced(g, x) for x in patterns], keys[i]
         assert sides[i] == cw_facts(g), keys[i]
 
@@ -151,16 +151,16 @@ def test_catalogue_sides_are_the_pair_sides():
     for n in range(1, 9):
         for i in _checked_ids(n):
             i += offset
-            g = cat.graphs[i]
+            g = graph_of_key(cat.keys[i])
             assert canonical_key(complement(g)) == cat.keys[cat.co[i]]
             left = right = 0
             for j in orbits.get(i, (i,)):
-                h = cat.graphs[j]
+                h = graph_of_key(cat.keys[j])
                 sides = pair_sides(h, complement(h))
                 left, right = left | sides[0], right | sides[1]
             assert cat.sides[i] == (left, right), cat.keys[i]
         offset += len(_level(n))
-    assert offset == len(cat.graphs)
+    assert offset == len(cat.keys)
 
 
 def test_scan_json_keys_and_rule_fires():
@@ -181,8 +181,8 @@ def test_scan_json_keys_and_rule_fires():
     cat = _catalogue(5, {})
     kernel = _kernel_fired(cat)
     want = {rule.rule_id: 0 for rule in PAIR_RULES}
-    for i in range(len(cat.graphs)):
-        for j in range(i, len(cat.graphs)):
+    for i in range(len(cat.keys)):
+        for j in range(i, len(cat.keys)):
             fired = kernel(i, j)
             for r, rule in enumerate(PAIR_RULES):
                 want[rule.rule_id] += fired >> r & 1
