@@ -230,10 +230,10 @@ UNBOUNDED_BITS = _status_bits(PAIR_RULES, Status.UNBOUNDED)
 
 class RuleTable(NamedTuple):
     """A rule table compiled for ``decide_sides``.  Per view and position,
-    ``views`` holds the bits of the rules whose side is None and the other
-    sides.  A side is (the rule's bit, the pattern bits of its >=X tokens,
-    its tokens in written order); a token is (itself, its pattern bit or 0,
-    the largest order of a graph it can hold on)."""
+    ``views`` holds the sides that can hold there.  A side is (the rule's
+    bit, the pattern bits of its >=X tokens, its tokens in written order,
+    those of them that are not >=X); a token is (itself, the largest order
+    of a graph it can hold on).  A side with no tokens always holds."""
 
     patterns: tuple[str, ...]  # pattern bit p is the X of the tokens >=X, X = patterns[p]
     views: tuple
@@ -244,25 +244,18 @@ def _compile(rules: tuple[Rule, ...], views: tuple[Optional[bool], ...]) -> Rule
     ``co `` tokens, stripped (True), the others (False) or every token
     (None).  An induced subgraph of X has at most as many vertices as X."""
     bits: dict[str, int] = {}
-
-    def entry(token: str) -> tuple[str, int, float]:
-        if token.startswith(">="):
-            return token, bits.setdefault(token[2:], 1 << len(bits)), inf
-        return token, 0, _pattern(token[2:]).n if token.startswith("<=") else inf
-
     compiled = []
     for co in views:
         for at in (0, 1):
-            always, sides = 0, []
+            sides = []
             for r, rule in enumerate(rules):
                 side = (rule.left, rule.right)[at]
-                if side is None:
-                    always |= 1 << r
-                    continue
-                tokens = tuple(entry(t.removeprefix("co ")) for t in side if co is None or t.startswith("co ") == co)
-                if tokens:
-                    sides.append((1 << r, sum(p for _, p, _ in tokens), tokens))
-            compiled.append((always, tuple(sides)))
+                kept = [t.removeprefix("co ") for t in side or () if co is None or t.startswith("co ") == co]
+                if side is None or kept:
+                    tokens = tuple((t, _pattern(t[2:]).n if t.startswith("<=") else inf) for t in kept)
+                    mask = sum(bits.setdefault(t[2:], 1 << len(bits)) for t in kept if t.startswith(">="))
+                    sides.append((1 << r, mask, tokens, tuple(e for e in tokens if not e[0].startswith(">="))))
+            compiled.append(tuple(sides))
     return RuleTable(tuple(bits), tuple(compiled))
 
 
@@ -275,14 +268,14 @@ def decide_sides(table: RuleTable, g: Graph, profile: Optional[int] = None) -> t
     read = profile is not None
     decided: dict[str, bool] = {}
     out = []
-    for always, sides in table.views:
-        bits = always
-        for bit, mask, tokens in sides:
-            if read and profile & mask:
+    for sides in table.views:
+        bits = 0
+        for bit, mask, tokens, others in sides:
+            if not tokens or read and profile & mask:
                 bits |= bit
                 continue
-            for token, pattern, top in tokens:
-                if g.n > top or read and pattern:
+            for token, top in others if read else tokens:
+                if g.n > top:
                     continue
                 if token not in decided:
                     decided[token] = _holds(token, g)

@@ -202,8 +202,8 @@ def _planes(keys: Sequence[tuple], n: int) -> list[list[int]]:
 
 
 def _profiles(keys: Sequence[tuple], n: int) -> list[int]:
-    """Per profile pattern, the bits of the n-vertex graphs that contain it
-    induced; graph i is given as ``keys[i]``, in the form ``graph_of_key``
+    """Per pattern of ``PAIR_TABLE``, the bits of the n-vertex graphs that
+    contain it induced; graph i is given as ``keys[i]``, in the form ``graph_of_key``
     reads."""
     profiles = [0] * len(PAIR_TABLE.patterns)
     if n < 3:  # no pattern has fewer than three vertices
