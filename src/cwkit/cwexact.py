@@ -1,4 +1,28 @@
-"""Exact clique-width for tiny graphs by exhaustive search over build states.
+"""Exact clique-width for small graphs: a modular decomposition, then an
+exhaustive search over build states on each prime quotient.
+
+Clique-width is the largest width that a node of the graph's modular
+decomposition needs for its quotient (Courcelle–Olariu 2000).  A vertex set
+of two or more splits in one of three ways (Gallai):
+
+* parallel: the graph is disconnected; the children are its components and
+  the expression is the union of theirs (one label suffices);
+* series: the complement is disconnected; the children are its
+  co-components, folded in on two labels: the part so far on label 1, the
+  next child renamed to 2, a join (1,2), then 2 renamed to 1 before the next
+  child (two labels suffice, and cliques need them);
+* prime: both are connected; the children are the maximal proper modules,
+  which partition the set, and the quotient keeps each one's least vertex
+  under its name.  The search below builds the quotient, and each child's
+  expression, all its labels renamed to the label of its representative,
+  takes the place of that vertex's ``Create`` leaf.  A module's vertices
+  share every neighbour outside it, so the substituted expression builds the
+  whole graph with no more labels than the quotient and the children need.
+
+A prime graph is its own quotient and is searched as itself.  The tree is
+built once per call and walked with explicit stacks, and a parallel or
+series node splits off all its children at once, so K_n and nK1 are one
+level and no recursion grows with n.
 
 A build state fixes the set of already-created vertices, a partition of them
 into label classes, and the set of target edges still missing.  The moves are
@@ -30,15 +54,18 @@ Three sound reductions keep the space small:
   label budget forces, because a larger matching equals a minimal one
   followed by renames, which the closure explores anyway.
 
-``tests/test_cwexact.py`` checks all three against an unpruned search.
+``tests/test_cwexact.py`` checks all three against an unpruned search, and
+the decomposition against the search on the whole graph.
 
-The search reads per-subset bitmask tables of the graph (``_Tables``), built
-once per connected component and shared by the searches at every label
-budget, so each test on a class is one or two ANDs.  A component with more
-than ``TABLE_CAP`` vertices is refused with ``CapacityError`` before its
-tables are allocated, whatever ``max_vertices`` allows.  ``cliquewidth`` starts
-at a lower bound instead of k = 1: one label for an edgeless graph, three
-when P4 is induced, two otherwise.
+The search reads per-subset bitmask tables of a prime quotient
+(``_Tables``), built at its first search and shared by the searches at every
+larger label budget, so each test on a class is one or two ANDs.  A prime
+node with more than ``TABLE_CAP`` children is refused with ``CapacityError``
+while the tree is built, before any table is allocated, whatever
+``max_vertices`` allows; ``max_vertices`` caps the whole graph.
+``cliquewidth`` starts at a lower bound instead of k = 1: one label for an
+edgeless graph, three when the tree has a prime node (so P4 is induced), two
+otherwise.
 """
 
 from __future__ import annotations
@@ -47,18 +74,15 @@ from itertools import combinations, product
 from typing import Optional
 
 from .errors import CapacityError, InputError, InvariantViolation
-from .graphs import Graph, _bits, induced_subgraph
-from .cwexpr import Create, CwExpr, Join, Rename, Union, eval_cwexpr, width
-from .patterns import has_induced
+from .graphs import Graph, _bits, _component_masks
+from .cwexpr import Create, CwExpr, Join, Rename, Union, _postorder, eval_cwexpr, width
 
 __all__ = ["cliquewidth_at_most", "cliquewidth", "DEFAULT_CAP", "TABLE_CAP"]
 
 DEFAULT_CAP = 8
-# The most vertices one component may have: its tables hold 2**n entries
+# The most vertices a prime quotient may have: its tables hold 2**n entries
 # each.  Unlike DEFAULT_CAP, no argument lifts it.
 TABLE_CAP = 16
-
-_P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 
 
 class _Tables:
@@ -313,41 +337,198 @@ class _Search:
         return expr
 
 
-def _components(g: Graph) -> list[_Tables]:
-    """Tables for each connected component, ordered by least vertex; a
-    component's vertices keep their names from g."""
-    comps = g.component_masks()
-    largest = max((c.bit_count() for c in comps), default=0)
-    if largest > TABLE_CAP:
-        raise CapacityError(
-            f"exact clique-width tables support components of at most {TABLE_CAP} vertices, got {largest}"
-        )
-    if len(comps) == 1:
-        return [_Tables(g)]
-    parts = []
-    for mask in comps:
-        vertices = _bits(mask)
-        names = {i: g.name_of(v) for i, v in enumerate(vertices)}
-        sub = induced_subgraph(g, vertices)
-        parts.append(_Tables(Graph(sub.n, sub.edges, names)))
-    return parts
+def _grow(adj, whole: int, group: tuple[int, int, int], w: int, forbidden: int) -> Optional[tuple[int, int, int]]:
+    """Grow ``group`` by vertex w to the least module of the graph induced by
+    ``whole`` that holds both, or None once that module meets ``forbidden``
+    or is all of ``whole``.
 
-
-def _solve(parts: list[_Tables], k: int) -> Optional[CwExpr]:
-    """A k-label expression for the graph with these components, or None.
-
-    Components are solved independently: a build for a disjoint union is the
-    union of component builds, and labels are reusable across union operands,
-    so the label count needed is the maximum over components.
+    A group is (module, common, seen): ``common`` and ``seen`` hold the
+    vertices adjacent to every and to some vertex of the module, so the
+    vertices outside it in ``seen & ~common`` split it and must join.  Each
+    vertex's mask is folded in once, when it joins.
     """
-    expr: Optional[CwExpr] = None
-    for tables in parts:
-        search = _Search(tables, k)
-        if not search.run():
+    module, common, seen = group
+    new = 1 << w
+    while new:
+        for x in _bits(new):
+            common &= adj[x]
+            seen |= adj[x]
+        module |= new
+        new = seen & ~common & whole & ~module
+        if new & forbidden:
             return None
-        part = search.witness()
-        expr = part if expr is None else Union(expr, part)
+    return None if module == whole else (module, common, seen)
+
+
+def _maximal_modules(adj, whole: int) -> list[int]:
+    """The maximal proper modules of the graph induced by ``whole``, ordered
+    by least vertex.  That graph and its complement must be connected; then
+    these modules partition ``whole`` (Gallai), and a module that meets two
+    of them is all of ``whole``.
+
+    So each vertex, in increasing order, joins the first module found so far
+    whose closure with it stays clear of the others, or else starts a new
+    one.  More than ``TABLE_CAP`` modules raise ``CapacityError`` as soon as
+    the one past the cap starts.
+    """
+    groups: list[tuple[int, int, int]] = []
+    placed = 0
+    for w in _bits(whole):
+        if placed >> w & 1:
+            continue
+        for t, group in enumerate(groups):
+            grown = _grow(adj, whole, group, w, placed & ~group[0])
+            if grown is not None:
+                groups[t] = grown
+                placed |= grown[0]
+                break
+        else:
+            if len(groups) == TABLE_CAP:
+                raise CapacityError(
+                    f"exact clique-width tables support prime quotients of at most {TABLE_CAP} vertices, "
+                    f"got {whole.bit_count()} vertices with a prime quotient of more than {TABLE_CAP}"
+                )
+            groups.append((1 << w, adj[w], adj[w]))
+            placed |= 1 << w
+    return [group[0] for group in groups]
+
+
+# A node of the decomposition tree is (kind, payload, children): a leaf's
+# payload is its vertex, a prime node's is its quotient graph, and the
+# children are node indices ordered by least vertex.
+_Node = tuple[str, object, list[int]]
+
+
+def _decompose(g: Graph) -> list[_Node]:
+    """g's modular decomposition tree, every node before its children.
+
+    A vertex set of two or more splits into its components when they are
+    several (a parallel node), else into its co-components when they are
+    several (series), else into its maximal proper modules (prime).  A prime
+    node's quotient keeps the least vertex of each module, under its name in
+    g.  Built with an explicit stack, so no recursion grows with the tree.
+    """
+    adj = g.adj
+    nodes: list[_Node] = []
+    todo: list[tuple[int, int, int]] = [((1 << g.n) - 1, -1, 0)]
+    while todo:
+        whole, parent, slot = todo.pop()
+        if parent >= 0:
+            nodes[parent][2][slot] = len(nodes)
+        if whole & (whole - 1) == 0:
+            nodes.append(("leaf", whole.bit_length() - 1, []))
+            continue
+        kind, payload, parts = "parallel", None, _component_masks(adj, whole)
+        if len(parts) == 1:
+            # the complement's neighbourhoods hold their own vertex, which
+            # the component search never reads
+            kind, parts = "series", _component_masks({v: ~adj[v] for v in _bits(whole)}, whole)
+        if len(parts) == 1:
+            kind, parts = "prime", _maximal_modules(adj, whole)
+            reps = [(p & -p).bit_length() - 1 for p in parts]
+            index = {v: t for t, v in enumerate(reps)}
+            keep = sum(1 << v for v in reps)
+            edges = [(t, index[u]) for t, v in enumerate(reps) for u in _bits(adj[v] & keep) if u > v]
+            payload = Graph(len(reps), edges, {t: g.name_of(v) for t, v in enumerate(reps)})
+        here = len(nodes)
+        nodes.append((kind, payload, [-1] * len(parts)))
+        todo += [(p, here, slot) for slot, p in enumerate(parts)]
+    return nodes
+
+
+def _relabel(built: tuple[CwExpr, int], label: int) -> CwExpr:
+    """A built node's expression with all its vertices on ``label``; its
+    vertices end on labels 1..top."""
+    expr, top = built
+    if isinstance(expr, Create):
+        return Create(label, expr.vertex)
+    for i in range(1, top + 1):
+        if i != label:
+            expr = Rename(i, label, expr)
     return expr
+
+
+def _substitute(expr: CwExpr, quotient: Graph, parts: list[tuple[CwExpr, int]]) -> CwExpr:
+    """The quotient's expression with each module's expression, relabelled
+    to the label its representative is created with, in place of that
+    representative's ``Create`` leaf.  One-vertex modules are that leaf."""
+    by_name = {quotient.name_of(t): part for t, part in enumerate(parts) if not isinstance(part[0], Create)}
+    if not by_name:
+        return expr
+    done: dict[int, CwExpr] = {}
+    for e in _postorder(expr):
+        match e:
+            case Create(label, name):
+                out = _relabel(by_name[name], label) if name in by_name else e
+            case Union(left, right):
+                out = Union(done[id(left)], done[id(right)])
+            case Join(i, j, sub):
+                out = Join(i, j, done[id(sub)])
+            case Rename(i, j, sub):
+                out = Rename(i, j, done[id(sub)])
+        done[id(e)] = out
+    return done[id(expr)]
+
+
+class _Solver:
+    """Decides one graph at any label budget through its decomposition tree.
+
+    Clique-width is the largest over the tree's nodes of the width their
+    quotient needs: one label at a parallel node, two at a series node, and
+    the quotient's own clique-width at a prime node (Courcelle–Olariu 2000).
+    Only prime quotients are searched.  A quotient's tables are built at its
+    first search and dropped once a search succeeds; that witness serves
+    every larger budget.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.nodes = _decompose(g)
+        self.tables: dict[int, _Tables] = {}
+        # prime node -> (budget, witness, its vertices' final labels 1..top)
+        self.found: dict[int, tuple[int, CwExpr, int]] = {}
+
+    def solve(self, k: int) -> Optional[CwExpr]:
+        """A k-label expression for g, or None."""
+        # built[i]: node i's expression and the top of its final labels 1..top
+        built: list[Optional[tuple[CwExpr, int]]] = [None] * len(self.nodes)
+        for i in range(len(self.nodes) - 1, -1, -1):
+            kind, payload, kids = self.nodes[i]
+            parts = [built[c] for c in kids]
+            if kind == "leaf":
+                built[i] = (Create(1, self.g.name_of(payload)), 1)
+            elif kind == "parallel":
+                expr = parts[0][0]
+                for part in parts[1:]:
+                    expr = Union(expr, part[0])
+                built[i] = (expr, max(top for _, top in parts))
+            elif kind == "series":
+                if k < 2:
+                    return None
+                # fold the co-components in on two labels: the part so far
+                # on 1, the next on 2, joined, then 2 renamed to 1
+                expr = _relabel(parts[0], 1)
+                for t, part in enumerate(parts[1:]):
+                    if t:
+                        expr = Rename(2, 1, expr)
+                    expr = Join(1, 2, Union(expr, _relabel(part, 2)))
+                built[i] = (expr, 2)
+            else:
+                if k < 3:
+                    return None  # a prime quotient induces P4
+                found = self.found.get(i)
+                if found is None or found[0] > k:
+                    if i not in self.tables:
+                        self.tables[i] = _Tables(payload)
+                    search = _Search(self.tables[i], k)
+                    if not search.run():
+                        return None
+                    found = self.found[i] = (k, search.witness(), len(search.accept[0]))
+                    del self.tables[i]
+                built[i] = (_substitute(found[1], payload, parts), found[2])
+            for c in kids:
+                built[c] = None
+        return built[0][0]
 
 
 def _check_input(g: Graph, k: int, max_vertices: int) -> None:
@@ -364,17 +545,21 @@ def _check_input(g: Graph, k: int, max_vertices: int) -> None:
         raise InputError("the empty graph has no build expression")
 
 
-def _verified(g: Graph, k: int, parts: list[_Tables]) -> Optional[CwExpr]:
-    """_solve's expression, checked to rebuild g with at most k labels."""
-    expr = _solve(parts, k)
+def _verified(g: Graph, k: int, solver: _Solver) -> Optional[CwExpr]:
+    """The solver's expression at budget k, checked to rebuild g with at
+    most k labels."""
+    expr = solver.solve(k)
     if expr is None:
         return None
-    lab = eval_cwexpr(expr)
+    built = eval_cwexpr(expr).graph
+    # each built vertex's number in g, through its name
+    where = {g.name_of(v): v for v in range(g.n)}
+    back = [where.get(built.names[u], -1) for u in range(built.n)]
     ok = (
-        lab.graph.n == g.n
+        built.n == g.n
         and width(expr) <= k
-        and {frozenset((lab.graph.names[u], lab.graph.names[v])) for u, v in lab.graph.edges}
-        == {frozenset((g.name_of(u), g.name_of(v))) for u, v in g.edges}
+        and -1 not in back
+        and {(a, b) if a < b else (b, a) for a, b in ((back[u], back[v]) for u, v in built.edges)} == g.edges
     )
     if not ok:
         raise InvariantViolation("reconstructed expression does not rebuild the target graph")
@@ -386,23 +571,23 @@ def cliquewidth_at_most(
 ) -> tuple[bool, Optional[CwExpr]]:
     """Decide whether some k-label expression builds g; return a witness if so."""
     _check_input(g, k, max_vertices)
-    expr = _verified(g, k, _components(g))
+    expr = _verified(g, k, _Solver(g))
     return expr is not None, expr
 
 
-def _lower_bound(g: Graph) -> int:
-    """One label for no edges; cographs (no induced P4) need two; else three."""
-    if not g.edges:
-        return 1
-    return 3 if has_induced(g, _P4) else 2
+def _lower_bound(solver: _Solver) -> int:
+    """One label for no edges; cographs (no prime node, so no induced P4)
+    need two; else three."""
+    kinds = {kind for kind, _, _ in solver.nodes}
+    return 3 if "prime" in kinds else 2 if "series" in kinds else 1
 
 
 def cliquewidth(g: Graph, max_vertices: int = DEFAULT_CAP) -> tuple[int, CwExpr]:
     """The exact clique-width of g with a witness expression."""
     _check_input(g, 1, max_vertices)
-    parts = _components(g)
-    for k in range(_lower_bound(g), g.n + 1):
-        expr = _verified(g, k, parts)
+    solver = _Solver(g)
+    for k in range(_lower_bound(solver), g.n + 1):
+        expr = _verified(g, k, solver)
         if expr is not None:
             return k, expr
     raise InputError("unreachable: every graph on n vertices has an n-label build")

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .errors import CapacityError, InputError
 from .graphs import Graph
-from .isomorphism import canonical_key_adj, graph_of_key, refine_colours
+from .isomorphism import canonical_key_adj, graph_of_key, key_adjacency, refine_colours
 
 __all__ = ["canonical_keys_upto", "nonisomorphic_graphs", "nonisomorphic_graphs_upto"]
 
@@ -46,7 +46,7 @@ def _level(n: int) -> tuple[tuple, ...]:
         by_degree[nbhd.bit_count()].append(nbhd)
     found = set()
     for parent in _level(n - 1):
-        adj = graph_of_key(parent).adj
+        adj = key_adjacency(parent)
         top = max(a.bit_count() for a in adj)
         # The parent's vertices of degree ``top`` reach top + 1 in the child
         # when joined to the new vertex; a new vertex of degree top must

@@ -127,12 +127,34 @@ def canonical_key_adj(adj: tuple[int, ...], n: int, colours: Optional[tuple[int,
     return (n, tuple(best))
 
 
+def _key_edges(key: tuple) -> list[tuple[int, int]]:
+    """The edges (j, i), j < i, of the graph a canonical key encodes: row i
+    of ``(n, rows)`` holds vertex i's adjacency to vertices 0..i-1, vertex 0
+    in its highest bit."""
+    edges = []
+    for i, row in enumerate(key[1] if key[0] > 1 else ()):
+        j = i - 1  # the vertex of the row's lowest bit
+        while row:
+            if row & 1:
+                edges.append((j, i))
+            row >>= 1
+            j -= 1
+    return edges
+
+
+def key_adjacency(key: tuple) -> tuple[int, ...]:
+    """The adjacency masks of the graph a canonical key encodes, without
+    building the graph."""
+    adj = [0] * key[0]
+    for j, i in _key_edges(key):
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(adj)
+
+
 def graph_of_key(key: tuple) -> Graph:
-    """The graph a canonical key encodes: row i of ``(n, rows)`` holds vertex
-    i's adjacency to vertices 0..i-1, vertex 0 in its highest bit."""
-    n = key[0]
-    rows = key[1] if n > 1 else ()
-    return Graph(n, [(j, i) for i, row in enumerate(rows) for j in range(i) if row >> (i - 1 - j) & 1])
+    """The graph a canonical key encodes."""
+    return Graph(key[0], _key_edges(key))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -58,7 +58,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .classifier import BOUNDED_BITS, PAIR_RULES, PAIR_TABLE, UNBOUNDED_BITS, Status, decide_sides, display_name
 from .classifier import _pattern, fire, open_case, pair_class
 from .enumeration import _level, canonical_keys_upto
-from .isomorphism import canonical_key, canonical_key_adj, graph_of_key
+from .isomorphism import canonical_key, canonical_key_adj, graph_of_key, key_adjacency
 from .names import graph_named
 
 __all__ = ["ScanResult", "scan_pairs"]
@@ -258,7 +258,7 @@ def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
     co = [-1] * len(keys)
     for i, key in enumerate(keys):
         if co[i] < 0:
-            n, adj = key[0], graph_of_key(key).adj
+            n, adj = key[0], key_adjacency(key)
             full = (1 << n) - 1
             j = ids[canonical_key_adj(tuple(full ^ a ^ 1 << v for v, a in enumerate(adj)), n)]
             co[i], co[j] = j, i

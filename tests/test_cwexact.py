@@ -5,12 +5,12 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import frozen_graphs
-from cwkit.cwexact import cliquewidth, cliquewidth_at_most
+from cwkit.cwexact import _Search, _Tables, cliquewidth, cliquewidth_at_most
 from cwkit.cwexpr import eval_cwexpr, format_cwexpr, width
 from cwkit.enumeration import nonisomorphic_graphs_upto
 from cwkit.errors import CapacityError, InputError
-from cwkit.graphs import Graph, complement
-from cwkit.isomorphism import is_isomorphic
+from cwkit.graphs import Graph, complement, induced_subgraph
+from cwkit.isomorphism import canonical_key, is_isomorphic
 from cwkit.names import graph_named
 from cwkit.patterns import contains_induced
 
@@ -171,17 +171,35 @@ def test_capacity_and_input_guards():
         cliquewidth_at_most(graph_named("P4"), 0)
 
 
+def _is_prime(g: Graph) -> bool:
+    """No vertex set M with 1 < |M| < n is a module (every vertex outside M
+    sees all of M or none of it); brute force over the subsets."""
+    for m in range(1, 1 << g.n):
+        if 1 < m.bit_count() < g.n and all(
+            g.adj[x] & m in (0, m) for x in range(g.n) if not m >> x & 1
+        ):
+            return False
+    return True
+
+
 def test_witnesses_golden_up_to_six_vertices():
-    # recorded before the search moved onto per-subset tables: any change to
+    # Recorded when the search moved onto the prime quotients of the modular
+    # decomposition.  A prime graph is searched as itself, so the lines of
+    # the 31 prime graphs with 4 to 6 vertices are the ones recorded before
+    # that, when the search ran on every connected graph whole; any change to
     # the states explored, or to the order they are pushed in, changes some
-    # witness
-    lines = []
+    # of them.
+    lines, prime = [], []
     for g in frozen_graphs(208):  # the graphs with at most 6 vertices
         k, expr = cliquewidth(g)
         lines.append(f"{k} {format_cwexpr(expr)}")
-    assert len(lines) == 208
+        if g.n >= 4 and _is_prime(g):
+            prime.append(lines[-1])
+    assert len(lines) == 208 and len(prime) == 31
+    digest = hashlib.sha256("\n".join(prime).encode()).hexdigest()
+    assert digest == "c71c94238c5932521ebd72aea0348c02388615910a78fa3715ce5230b604df4e"
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "5adc24cc08a3467ab85d2fc06dedd8fb891f15d321fd7ef5263b693d0e97c494"
+    assert digest == "efa477a4eb802a11b63e6a6bd55f998e3aa9942f3b8e7280bb376151ff2de01a"
 
 
 def _reference_at_most(g: Graph, k: int) -> bool:
@@ -251,3 +269,81 @@ def test_oracle_agrees_with_unpruned_reference():
     graphs += [graph_named(name) for name in ("co(C6)", "C6", "P6")]
     for g in graphs:
         assert _reference_width(g) == cliquewidth(g)[0], g
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("2000K1", 1), ("500K2", 2), ("co(300K1)", 2)],
+)
+def test_large_cographs_are_one_tree_level(name, value):
+    # a parallel or series node splits all its children off at once, and
+    # the tree and its expressions are walked without recursion
+    g = graph_named(name)
+    k, witness = cliquewidth(g, max_vertices=g.n)
+    assert k == value and width(witness) == value
+
+
+@pytest.mark.parametrize("name", ["P17", "P120"])
+def test_large_prime_graph_is_refused(name):
+    # a path with four or more vertices is prime: its one quotient is
+    # itself, one vertex or more past the table cap
+    g = graph_named(name)
+    with pytest.raises(CapacityError):
+        cliquewidth(g, max_vertices=g.n)
+    with pytest.raises(CapacityError):
+        cliquewidth_at_most(g, 3, max_vertices=g.n)
+
+
+def _substituted(outer: Graph, inner: Graph) -> Graph:
+    """outer with every vertex replaced by a copy of inner, a module."""
+    m = inner.n
+    edges = [(a * m + u, a * m + v) for a in range(outer.n) for u, v in inner.edges]
+    edges += [(a * m + u, b * m + v) for a, b in outer.edges for u in range(m) for v in range(m)]
+    return Graph(outer.n * m, edges)
+
+
+@pytest.mark.parametrize(
+    "g,value",
+    [
+        (_substituted(graph_named("C5"), graph_named("K4")), 3),
+        (graph_named("co(4K5)"), 2),
+        (_substituted(graph_named("P4"), graph_named("C5")), 3),
+    ],
+    ids=["C5[K4]", "co(4K5)", "P4[C5]"],
+)
+def test_twenty_vertex_graphs_with_small_prime_quotients(g, value):
+    # cw is the largest width over the decomposition's quotients, so each
+    # is decided though the graph is connected and past the table cap
+    assert g.n == 20
+    k, witness = cliquewidth(g, max_vertices=20)
+    assert k == value and width(witness) == value
+    assert not cliquewidth_at_most(g, value - 1, max_vertices=20)[0]
+
+
+def _whole_search_width(g: Graph) -> int:
+    tables = _Tables(g)
+    k = 1
+    while not _Search(tables, k).run():
+        k += 1
+    return k
+
+
+def test_decomposition_agrees_with_the_whole_graph_search():
+    rng = random.Random(7)
+    pairs = list(combinations(range(7), 2))
+    graphs = nonisomorphic_graphs_upto(6)
+    graphs += [Graph(7, rng.sample(pairs, rng.randint(0, len(pairs)))) for _ in range(150)]
+    for g in graphs:
+        assert cliquewidth(g)[0] == _whole_search_width(g), g
+
+
+def test_heredity_and_complement_bounds_up_to_six_vertices():
+    # cw(G - v) <= cw(G), and cw(co G) <= 2 cw(G) (Courcelle-Olariu)
+    graphs = nonisomorphic_graphs_upto(6)
+    value = {canonical_key(g): cliquewidth(g)[0] for g in graphs}
+    for g in graphs:
+        k = value[canonical_key(g)]
+        assert value[canonical_key(complement(g))] <= 2 * k, g
+        for v in range(g.n if g.n > 1 else 0):
+            smaller = induced_subgraph(g, [u for u in range(g.n) if u != v])
+            assert value[canonical_key(smaller)] <= k, (g, v)

@@ -3,7 +3,7 @@ import pytest
 from conftest import frozen_graphs
 from cwkit.enumeration import canonical_keys_upto, nonisomorphic_graphs, nonisomorphic_graphs_upto
 from cwkit.errors import CapacityError, InputError
-from cwkit.isomorphism import canonical_key, canonical_key_adj, graph_of_key
+from cwkit.isomorphism import canonical_key, canonical_key_adj, graph_of_key, key_adjacency
 
 # published counts of unlabelled simple graphs by vertex count
 EXPECTED = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -81,6 +81,12 @@ def test_representatives_are_their_canonical_forms():
     graphs = nonisomorphic_graphs_upto(7)
     assert [canonical_key(g) for g in graphs] == keys
     assert [graph_of_key(canonical_key(g)) for g in graphs] == graphs
+
+
+def test_key_adjacency_is_the_decoded_graphs():
+    # the scan reads a key's adjacency masks without building its graph
+    graphs = nonisomorphic_graphs_upto(7)
+    assert [key_adjacency(canonical_key(g)) for g in graphs] == [g.adj for g in graphs]
 
 
 def test_frozen_representatives_have_the_same_classes_in_the_same_order():
