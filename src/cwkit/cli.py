@@ -57,7 +57,8 @@ def _write_text(path: str, what: str, text: str) -> None:
 
 
 def resolve_graph(arg: str) -> Graph:
-    """Interpret one graph argument (name DSL, graph6 literal, or file path)."""
+    """Interpret one graph argument: name DSL, graph6 literal (bare or with
+    the ``graph6:`` prefix ``display_name`` prints), or file path."""
     errors = []
     try:
         return graph_named(arg)
@@ -65,7 +66,8 @@ def resolve_graph(arg: str) -> Graph:
         errors.append(f"as name: {exc}")
     if not os.path.exists(arg):
         try:
-            return from_graph6(arg)
+            # display_name prints an unnamed graph as graph6:<text>
+            return from_graph6(arg.removeprefix("graph6:"))
         except InputError as exc:
             errors.append(f"as graph6: {exc}")
     else:

@@ -387,8 +387,12 @@ def format_name(expr: NameExpr) -> str:
         case Sum(parts):
             bits = []
             for mult, sub in parts:
-                s = format_name(sub)
-                bits.append(f"{mult}{s}" if mult > 1 else s)
+                if isinstance(sub, Sum):
+                    # the grammar has no brackets: k(A+B) is written kA+kB
+                    bits.append(format_name(Sum(tuple((mult * m, s) for m, s in sub.parts))))
+                else:
+                    s = format_name(sub)
+                    bits.append(f"{mult}{s}" if mult > 1 else s)
             return "+".join(bits)
     raise InputError(f"cannot format {expr!r}")
 

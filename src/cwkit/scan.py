@@ -6,11 +6,13 @@ unordered pair of graph ids.  The sides are ``cw_facts``'s, from the
 classifier's one evaluator, ``decide_sides``: the scan decides the pair
 table's ``>=X`` patterns for all graphs of one order at once (the level
 profiles below) and passes each graph's profile to it.  A graph is built
-from its key only for that call, for its complement's key and to name an
-open pair or a conflict; no list of graphs is kept.  The scan doubles as the
-consistency harness: it reports any pair on which a bounded rule and an
-unbounded rule both fire, and any pair that neither matches a rule nor is
-equivalent to a listed open case.
+from its key only for that call and to name an open pair or a conflict; no
+list of graphs is kept.  Each graph's complement id comes with the
+enumeration, which builds the dense half of each level as the complements
+of its sparse half.  The scan doubles as the consistency harness: it
+reports any pair on which a bounded rule and an unbounded rule both fire,
+and any pair that neither matches a rule nor is equivalent to a listed open
+case.
 
 A pair's class is closed under complementing both graphs and under swapping
 K3 with the paw at either position.  The swap acts on one position at a
@@ -57,8 +59,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .classifier import BOUNDED_BITS, PAIR_RULES, PAIR_TABLE, UNBOUNDED_BITS, Status, decide_sides, display_name
 from .classifier import _pattern, fire, open_case, pair_class
-from .enumeration import _level, canonical_keys_upto
-from .isomorphism import canonical_key, canonical_key_adj, graph_of_key, key_adjacency
+from .enumeration import _complement_ids, _level, canonical_keys_upto
+from .isomorphism import canonical_key, graph_of_key
 from .names import graph_named
 
 __all__ = ["ScanResult", "scan_pairs"]
@@ -252,19 +254,18 @@ def _catalogue(max_vertices: int, clock: dict[str, float]) -> _Catalogue:
     keys = canonical_keys_upto(max_vertices)
     clock["enumerate"] = perf_counter() - t
     t = perf_counter()
-    ids = {k: i for i, k in enumerate(keys)}
-    # complementing is an involution: one key per complement pair, computed
-    # from the complement's adjacency masks without building it
-    co = [-1] * len(keys)
-    for i, key in enumerate(keys):
-        if co[i] < 0:
-            n, adj = key[0], key_adjacency(key)
-            full = (1 << n) - 1
-            j = ids[canonical_key_adj(tuple(full ^ a ^ 1 << v for v, a in enumerate(adj)), n)]
-            co[i], co[j] = j, i
+    # the enumeration records each graph's complement within its level
+    co: list[int] = []
+    for n in range(1, max_vertices + 1):
+        offset = len(co)
+        co += [offset + c for c in _complement_ids(n)]
+
+    def id_of(name: str) -> int | None:
+        key = canonical_key(graph_named(name))
+        return keys.index(key) if key[0] <= max_vertices else None
+
     # K3 and the paw swap only when both are in range.
-    k3 = ids.get(canonical_key(graph_named("K3")))
-    paw = ids.get(canonical_key(graph_named("paw")))
+    k3, paw = id_of("K3"), id_of("paw")
     partner = {k3: paw, paw: k3} if k3 is not None and paw is not None else {}
     clock["keys"] = perf_counter() - t
     t = perf_counter()

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cwkit
+from cwkit.classifier import display_name
 from cwkit.cli import resolve_graph, run
+from cwkit.enumeration import nonisomorphic_graphs_upto
 from cwkit.errors import InputError
 from cwkit.graphs import EDGE_LIST_CAP, to_edge_list, to_graph6
 from cwkit.isomorphism import is_isomorphic
@@ -37,6 +39,21 @@ def test_resolve_name_graph6_and_file(tmp_path):
     assert resolve_graph(str(f6)) == g
     with pytest.raises(InputError):
         resolve_graph("definitely not a graph ((")
+
+
+def test_printed_graph6_names_are_accepted():
+    # an unnamed graph is printed as graph6:<text>, and that text is read
+    # back as the same graph
+    bare = invoke("classify", "single", "F?AZO")
+    assert bare[0] == 0 and "matched=graph6:F?AZO" in bare[1]
+    assert invoke("classify", "single", "graph6:F?AZO") == bare
+    printed = 0
+    for g in nonisomorphic_graphs_upto(7):
+        name = display_name(g)
+        if name.startswith("graph6:"):
+            printed += 1
+            assert is_isomorphic(resolve_graph(name), g), name
+    assert printed == 1002
 
 
 def test_classify_pair_output():

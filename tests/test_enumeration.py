@@ -1,8 +1,11 @@
 import pytest
 
 from conftest import frozen_graphs
-from cwkit.enumeration import canonical_keys_upto, nonisomorphic_graphs, nonisomorphic_graphs_upto
+from cwkit import enumeration
+from cwkit.enumeration import _complement_ids, _level, canonical_keys_upto
+from cwkit.enumeration import nonisomorphic_graphs, nonisomorphic_graphs_upto
 from cwkit.errors import CapacityError, InputError
+from cwkit.graphs import complement
 from cwkit.isomorphism import canonical_key, canonical_key_adj, graph_of_key, key_adjacency
 
 # published counts of unlabelled simple graphs by vertex count
@@ -94,3 +97,51 @@ def test_frozen_representatives_have_the_same_classes_in_the_same_order():
     # same order, as the enumeration, so graph ids are unchanged
     assert [canonical_key(g) for g in frozen_graphs()] == canonical_keys_upto(7)
 
+
+def test_cuts_pin_the_work_of_levels_seven_and_eight(monkeypatch):
+    # the parent, child and twin cuts and the complemented dense half fix
+    # exactly how many parents and complements a cold build reads, and how
+    # many colourings and keys it computes; levels 2..7 first, then level 8
+    # on top of them
+    before = canonical_keys_upto(8)
+    calls = {"key_adjacency": 0, "refine_colours": 0, "canonical_key_adj": 0}
+
+    def counting(name):
+        f = getattr(enumeration, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(enumeration, name, counting(name))
+    enumeration._classes.cache_clear()
+    _level.cache_clear()
+    assert len(_level(7)) == 1044
+    assert calls == {"key_adjacency": 736, "refine_colours": 1076, "canonical_key_adj": 1470}
+    assert len(_level(8)) == 12346
+    assert calls == {
+        "key_adjacency": 736 + 6700,
+        "refine_colours": 1076 + 12992,
+        "canonical_key_adj": 1470 + 15146,
+    }
+    assert canonical_keys_upto(8) == before
+
+
+def _edges(key: tuple) -> int:
+    return sum(a.bit_count() for a in key_adjacency(key)) // 2
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_complement_ids(n):
+    # an involution that sends m edges to n(n-1)/2 - m, and up to 7 vertices
+    # the canonical key of the complement itself
+    keys, co = _level(n), _complement_ids(n)
+    assert len(co) == len(keys)
+    assert all(co[co[i]] == i for i in range(len(keys)))
+    assert all(_edges(keys[co[i]]) == n * (n - 1) // 2 - _edges(key) for i, key in enumerate(keys))
+    if n <= 7:
+        for i, key in enumerate(keys):
+            assert canonical_key(complement(graph_of_key(key))) == keys[co[i]], key

@@ -11,7 +11,10 @@ from cwkit.errors import InputError, ParseError
 from cwkit.graphs import Graph, complement, disjoint_union, from_graph6, to_graph6
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import (
+    NAMED_IDS,
     Complement,
+    Complete,
+    Cycle,
     Named,
     Path,
     Star,
@@ -209,3 +212,48 @@ def test_co_names_need_no_complement_up_to_eight_vertices():
         rng.shuffle(perm)
         assert display_name(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])) == want
     assert co_named == 231
+
+
+# -- round trips over drawn names ---------------------------------------------
+
+_ATOMS = st.one_of(
+    st.integers(1, 5).map(Path),
+    st.integers(3, 5).map(Cycle),
+    st.integers(1, 4).map(Complete),
+    st.integers(1, 4).map(Star),
+    st.lists(st.integers(1, 2), min_size=3, max_size=3).map(lambda legs: SubdividedClaw(*sorted(legs))),
+    st.sampled_from(NAMED_IDS).map(Named),
+)
+_NAMES = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        inner.map(Complement),
+        st.lists(st.tuples(st.integers(1, 2), inner), min_size=1, max_size=3).map(lambda parts: Sum(tuple(parts))),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_NAMES)
+def test_formatted_names_parse_to_the_same_graph(e):
+    # nested sums included: the grammar has no brackets, so a repeated sum
+    # must be written out summand by summand
+    assert is_isomorphic(realize(parse_name(format_name(e))), realize(e)), e
+
+
+@st.composite
+def _small_graphs(draw):
+    # sparse graphs and their complements, so that many have a name
+    n = draw(st.integers(1, 7))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    g = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    return complement(g) if draw(st.booleans()) else g
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_graphs())
+def test_recognized_names_realize_the_graph(g):
+    e = recognize(g)
+    if e is not None:
+        assert is_isomorphic(realize(e), g), format_name(e)
