@@ -57,15 +57,18 @@ Three sound reductions keep the space small:
 ``tests/test_cwexact.py`` checks all three against an unpruned search, and
 the decomposition against the search on the whole graph.
 
-The search reads per-subset bitmask tables of a prime quotient
-(``_Tables``), built at its first search and shared by the searches at every
-larger label budget, so each test on a class is one or two ANDs.  A prime
-node with more than ``TABLE_CAP`` children is refused with ``CapacityError``
-while the tree is built, before any table is allocated, whatever
-``max_vertices`` allows; ``max_vertices`` caps the whole graph.
-``cliquewidth`` starts at a lower bound instead of k = 1: one label for an
-edgeless graph, three when the tree has a prime node (so P4 is induced), two
-otherwise.
+The width is decided in one bottom-up walk of the tree (``_build``), which
+keeps the largest width needed so far: one at a leaf or parallel node, two
+at a series node.  A prime node searches its quotient at that width, but
+never below 3 (the quotient induces P4) or below the first budget tried,
+then one label more until a search succeeds; that budget is the width it
+needs.  Each search reads per-subset bitmask tables of the quotient
+(``_Tables``), built once per node, so each test on a class is one or two
+ANDs.  ``cliquewidth`` walks with the budgets 1..n and
+``cliquewidth_at_most`` with its one budget k.  A prime node with more than
+``TABLE_CAP`` children is refused with ``CapacityError`` while the tree is
+built, before any table is allocated, whatever ``max_vertices`` allows;
+``max_vertices`` caps the whole graph.
 """
 
 from __future__ import annotations
@@ -200,9 +203,7 @@ class _Search:
             sub = (placed - 1) & placed
             while sub:
                 if sub & lowbit:
-                    part = placed ^ sub
-                    if part:
-                        self._seed_unions(placed, sub, part, push)
+                    self._seed_unions(placed, sub, placed ^ sub, push)
                 sub = (sub - 1) & placed
         # close under renames (joins are folded into normalize); every state
         # in the queue is alive, so only the merged class can newly split on
@@ -470,67 +471,6 @@ def _substitute(expr: CwExpr, quotient: Graph, parts: list[tuple[CwExpr, int]]) 
     return done[id(expr)]
 
 
-class _Solver:
-    """Decides one graph at any label budget through its decomposition tree.
-
-    Clique-width is the largest over the tree's nodes of the width their
-    quotient needs: one label at a parallel node, two at a series node, and
-    the quotient's own clique-width at a prime node (Courcelle–Olariu 2000).
-    Only prime quotients are searched.  A quotient's tables are built at its
-    first search and dropped once a search succeeds; that witness serves
-    every larger budget.
-    """
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.nodes = _decompose(g)
-        self.tables: dict[int, _Tables] = {}
-        # prime node -> (budget, witness, its vertices' final labels 1..top)
-        self.found: dict[int, tuple[int, CwExpr, int]] = {}
-
-    def solve(self, k: int) -> Optional[CwExpr]:
-        """A k-label expression for g, or None."""
-        # built[i]: node i's expression and the top of its final labels 1..top
-        built: list[Optional[tuple[CwExpr, int]]] = [None] * len(self.nodes)
-        for i in range(len(self.nodes) - 1, -1, -1):
-            kind, payload, kids = self.nodes[i]
-            parts = [built[c] for c in kids]
-            if kind == "leaf":
-                built[i] = (Create(1, self.g.name_of(payload)), 1)
-            elif kind == "parallel":
-                expr = parts[0][0]
-                for part in parts[1:]:
-                    expr = Union(expr, part[0])
-                built[i] = (expr, max(top for _, top in parts))
-            elif kind == "series":
-                if k < 2:
-                    return None
-                # fold the co-components in on two labels: the part so far
-                # on 1, the next on 2, joined, then 2 renamed to 1
-                expr = _relabel(parts[0], 1)
-                for t, part in enumerate(parts[1:]):
-                    if t:
-                        expr = Rename(2, 1, expr)
-                    expr = Join(1, 2, Union(expr, _relabel(part, 2)))
-                built[i] = (expr, 2)
-            else:
-                if k < 3:
-                    return None  # a prime quotient induces P4
-                found = self.found.get(i)
-                if found is None or found[0] > k:
-                    if i not in self.tables:
-                        self.tables[i] = _Tables(payload)
-                    search = _Search(self.tables[i], k)
-                    if not search.run():
-                        return None
-                    found = self.found[i] = (k, search.witness(), len(search.accept[0]))
-                    del self.tables[i]
-                built[i] = (_substitute(found[1], payload, parts), found[2])
-            for c in kids:
-                built[c] = None
-        return built[0][0]
-
-
 def _check_input(g: Graph, k: int, max_vertices: int) -> None:
     if max_vertices < 1:
         raise InputError(f"the vertex cap must be at least 1, got {max_vertices}")
@@ -545,12 +485,62 @@ def _check_input(g: Graph, k: int, max_vertices: int) -> None:
         raise InputError("the empty graph has no build expression")
 
 
-def _verified(g: Graph, k: int, solver: _Solver) -> Optional[CwExpr]:
-    """The solver's expression at budget k, checked to rebuild g with at
-    most k labels."""
-    expr = solver.solve(k)
-    if expr is None:
-        return None
+def _build(g: Graph, budgets: range) -> Optional[tuple[int, CwExpr]]:
+    """(w, an expression for g on at most w labels), where w is the least
+    budget that every node of g's decomposition tree fits in, or None once
+    w would pass the last of ``budgets``.  No prime quotient is searched
+    below the first budget, so w is g's clique-width when that is 1.
+
+    ``need`` is the largest width a node walked so far needs.  Starting each
+    prime search there, and not at 3, reaches a quotient at the budget the
+    whole graph has reached, so a quotient that needs less than an earlier
+    one is searched once.
+    """
+    nodes = _decompose(g)
+    need = 1
+    # built[i]: node i's expression and the top of its final labels 1..top
+    built: list[Optional[tuple[CwExpr, int]]] = [None] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        kind, payload, kids = nodes[i]
+        parts = [built[c] for c in kids]
+        if kind == "leaf":
+            built[i] = (Create(1, g.name_of(payload)), 1)
+        elif kind == "parallel":
+            expr = parts[0][0]
+            for part in parts[1:]:
+                expr = Union(expr, part[0])
+            built[i] = (expr, max(top for _, top in parts))
+        elif kind == "series":
+            if budgets.stop <= 2:
+                return None
+            need = max(need, 2)
+            # fold the co-components in on two labels: the part so far on 1,
+            # the next on 2, joined, then 2 renamed to 1
+            expr = _relabel(parts[0], 1)
+            for t, part in enumerate(parts[1:]):
+                if t:
+                    expr = Rename(2, 1, expr)
+                expr = Join(1, 2, Union(expr, _relabel(part, 2)))
+            built[i] = (expr, 2)
+        else:
+            tries = range(max(3, need, budgets.start), budgets.stop)
+            if not tries:
+                return None
+            tables = _Tables(payload)
+            for need in tries:
+                search = _Search(tables, need)
+                if search.run():
+                    break
+            else:
+                return None
+            built[i] = (_substitute(search.witness(), payload, parts), len(search.accept[0]))
+        for c in kids:
+            built[c] = None
+    return need, built[0][0]
+
+
+def _verified(g: Graph, k: int, expr: CwExpr) -> CwExpr:
+    """expr, checked to rebuild g with at most k labels."""
     built = eval_cwexpr(expr).graph
     # each built vertex's number in g, through its name
     where = {g.name_of(v): v for v in range(g.n)}
@@ -571,23 +561,15 @@ def cliquewidth_at_most(
 ) -> tuple[bool, Optional[CwExpr]]:
     """Decide whether some k-label expression builds g; return a witness if so."""
     _check_input(g, k, max_vertices)
-    expr = _verified(g, k, _Solver(g))
-    return expr is not None, expr
-
-
-def _lower_bound(solver: _Solver) -> int:
-    """One label for no edges; cographs (no prime node, so no induced P4)
-    need two; else three."""
-    kinds = {kind for kind, _, _ in solver.nodes}
-    return 3 if "prime" in kinds else 2 if "series" in kinds else 1
+    found = _build(g, range(k, k + 1))
+    if found is None:
+        return False, None
+    return True, _verified(g, k, found[1])
 
 
 def cliquewidth(g: Graph, max_vertices: int = DEFAULT_CAP) -> tuple[int, CwExpr]:
     """The exact clique-width of g with a witness expression."""
     _check_input(g, 1, max_vertices)
-    solver = _Solver(g)
-    for k in range(_lower_bound(solver), g.n + 1):
-        expr = _verified(g, k, solver)
-        if expr is not None:
-            return k, expr
-    raise InputError("unreachable: every graph on n vertices has an n-label build")
+    # n labels build any n-vertex graph, so the budgets never run out
+    k, expr = _build(g, range(1, g.n + 1))
+    return k, _verified(g, k, expr)

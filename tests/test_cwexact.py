@@ -347,3 +347,57 @@ def test_heredity_and_complement_bounds_up_to_six_vertices():
         for v in range(g.n if g.n > 1 else 0):
             smaller = induced_subgraph(g, [u for u in range(g.n) if u != v])
             assert value[canonical_key(smaller)] <= k, (g, v)
+
+
+def _count_work(monkeypatch) -> list[int]:
+    """Count ``_Search.run`` calls and ``_Tables`` builds from now on."""
+    counts = [0, 0]
+    run, build = _Search.run, _Tables.__init__
+
+    def counted_run(self):
+        counts[0] += 1
+        return run(self)
+
+    def counted_build(self, g):
+        counts[1] += 1
+        build(self, g)
+
+    monkeypatch.setattr(_Search, "run", counted_run)
+    monkeypatch.setattr(_Tables, "__init__", counted_build)
+    return counts
+
+
+# (width, searches, tables) per graph, frozen with the witnesses' digest.
+# Each prime quotient is first searched at the largest width needed so far,
+# never below 3, so a quotient that needs less than an earlier one is
+# searched once, and each quotient's tables are built once.
+SEVERAL_PRIME_QUOTIENTS = {
+    "co(C6)+P4": (4, 3, 2),
+    "P4+co(C6)": (4, 3, 2),
+    "C5+co(C6)+P4": (4, 4, 3),
+    "P4+P4+co(C6)+P4": (4, 5, 4),
+    "co(C6)+C8": (4, 3, 2),
+}
+
+
+def test_several_prime_quotients(monkeypatch):
+    counts = _count_work(monkeypatch)
+    lines = []
+    for name, expected in SEVERAL_PRIME_QUOTIENTS.items():
+        g = graph_named(name)
+        counts[:] = [0, 0]
+        k, expr = cliquewidth(g, max_vertices=g.n)
+        assert (k, *counts) == expected, name
+        lines.append(f"{k} {format_cwexpr(expr)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d561edf708b437b4f091e96983bb4c13dae709f2738674cb99139b0688a9ebbf"
+
+
+@pytest.mark.parametrize("k,ok,searches,tables", [(2, False, 0, 0), (3, False, 1, 1), (4, True, 2, 2), (5, True, 2, 2)])
+def test_budget_reaches_each_prime_quotient_once(monkeypatch, k, ok, searches, tables):
+    # co(C6) needs 4 labels and C8 needs 4: below 3 no quotient is searched,
+    # and at 3 the first failing quotient ends the decision
+    counts = _count_work(monkeypatch)
+    g = graph_named("co(C6)+C8")
+    assert cliquewidth_at_most(g, k, max_vertices=g.n)[0] == ok
+    assert counts == [searches, tables]
