@@ -8,7 +8,9 @@ guarded by a vertex cap.
 Isomorphism has no search of its own: two graphs of the same order and edge
 count are isomorphic exactly when one embeds in the other as an induced
 subgraph, so ``is_isomorphic`` calls the pattern search of ``patterns`` after
-cheap invariant checks (degree sequence and refinement colours).
+cheap invariant checks (degree sequence and refinement colours).  A pair
+with more than half of all possible edges is searched through its
+complements.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import CapacityError
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, complement
 from .patterns import has_induced
 
 __all__ = ["canonical_key", "graph_of_key", "is_isomorphic", "refine_colours"]
@@ -165,4 +167,9 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if sorted(refine_colours(g.adj, g.n)) != sorted(refine_colours(h.adj, h.n)):
         return False
+    # The search prunes on the edges of the pattern far better than on its
+    # non-edges, so a dense pair is compared through its complements, which
+    # are isomorphic exactly when the graphs are.
+    if 4 * len(g.edges) > g.n * (g.n - 1):
+        g, h = complement(g), complement(h)
     return has_induced(h, g)

@@ -97,3 +97,23 @@ def test_random_regular_graphs_agree_with_networkx():
                 mapping = emb.mapping
                 assert sorted(mapping) == list(range(n))
                 assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges)
+
+
+def test_dense_graphs_agree_with_networkx():
+    # Complements of unions of equal parts have many automorphisms and no
+    # edge to prune on; relabelled copies of these once took minutes.
+    rng = random.Random(2)
+    for name in ("co(4S_1_2_2+2bull)", "co(4P4+4P2+4P4)", "co(4K1_4+4S_1_2_2)", "co(4K1+co(bull)+4paw+4P5)"):
+        g = graph_named(name)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert is_isomorphic(g, permuted(g, perm)), name
+    assert not is_isomorphic(graph_named("co(C6)"), graph_named("co(2K3)"))
+    for n in range(17, 29):
+        # networkx decides the sparse graphs; is_isomorphic gets their complements
+        G, K = (nx.random_regular_graph(3 if n % 2 == 0 else 4, n, seed=rng.randrange(2**32)) for _ in range(2))
+        g, other = (Graph(n, list(nx.complement(H).edges())) for H in (G, K))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert is_isomorphic(g, permuted(g, perm))
+        assert is_isomorphic(g, other) == nx.is_isomorphic(G, K)
