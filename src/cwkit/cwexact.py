@@ -12,11 +12,11 @@ of two or more splits in one of three ways (Gallai):
   next child renamed to 2, a join (1,2), then 2 renamed to 1 before the next
   child (two labels suffice, and cliques need them);
 * prime: both are connected; the children are the maximal proper modules,
-  which partition the set, and the quotient keeps each one's least vertex
-  under its name.  The search below builds the quotient, and each child's
-  expression, all its labels renamed to the label of its representative,
-  takes the place of that vertex's ``Create`` leaf.  A module's vertices
-  share every neighbour outside it, so the substituted expression builds the
+  which partition the set, and the quotient has one vertex per module,
+  adjacent as their least vertices are.  The search below builds the
+  quotient, and where it creates a quotient vertex it emits that module's
+  expression with all its labels renamed to the vertex's label.  A module's
+  vertices share every neighbour outside it, so the expression builds the
   whole graph with no more labels than the quotient and the children need.
 
 A prime graph is its own quotient and is searched as itself.  The tree is
@@ -78,7 +78,7 @@ from typing import Optional
 
 from .errors import CapacityError, InputError, InvariantViolation
 from .graphs import Graph, _bits, _component_masks
-from .cwexpr import Create, CwExpr, Join, Rename, Union, _postorder, eval_cwexpr, width
+from .cwexpr import Create, CwExpr, Join, Rename, Union, eval_cwexpr, width
 
 __all__ = ["cliquewidth_at_most", "cliquewidth", "DEFAULT_CAP", "TABLE_CAP"]
 
@@ -142,7 +142,6 @@ class _Tables:
 class _Search:
     def __init__(self, tables: _Tables, k: int):
         self.t = tables
-        self.g = tables.g
         self.n = tables.g.n
         self.k = k
         self.full = (1 << self.n) - 1
@@ -296,20 +295,19 @@ class _Search:
 
     # -- witness reconstruction -------------------------------------------
 
-    def witness(self) -> CwExpr:
+    def witness(self, leaves: list[tuple[CwExpr, int]]) -> CwExpr:
+        """The accepted build, with each vertex v's module expression
+        ``leaves[v]`` relabelled to the label v is created with."""
         assert self.accept is not None
         classes, _ = self.accept
         assign = {c: i + 1 for i, c in enumerate(classes)}
-        return self._emit(self.full, self.accept, assign)
+        return self._emit(self.full, self.accept, assign, leaves)
 
-    def _emit(self, placed: int, state: tuple, assign: dict[int, int]) -> CwExpr:
+    def _emit(self, placed: int, state: tuple, assign: dict[int, int], leaves) -> CwExpr:
         record = self.reach[placed][state]
-        kind = record[0]
-        if kind == "create":
-            v = record[1]
-            expr: CwExpr = Create(assign[1 << v], self.g.name_of(v))
-            return expr
-        if kind == "rename":
+        if record[0] == "create":
+            return _relabel(leaves[record[1]], assign[placed])
+        if record[0] == "rename":
             _, _, pre, (ca, cb), joins = record
             merged = ca | cb
             pre_assign = {c: assign[c] for c in pre[0] if c != ca and c != cb}
@@ -318,9 +316,8 @@ class _Search:
             while fresh in pre_assign.values():
                 fresh += 1
             pre_assign[cb] = fresh
-            expr = Rename(fresh, assign[merged], self._emit(placed, pre, pre_assign))
-            return self._wrap_joins(expr, joins, assign)
-        if kind == "union":
+            expr: CwExpr = Rename(fresh, assign[merged], self._emit(placed, pre, pre_assign, leaves))
+        else:
             _, s1, st1, s2, st2, match, joins = record
             merged_of = {}
             for a, b in match:
@@ -328,11 +325,7 @@ class _Search:
                 merged_of[b] = a | b
             assign1 = {c: assign[merged_of.get(c, c)] for c in st1[0]}
             assign2 = {c: assign[merged_of.get(c, c)] for c in st2[0]}
-            expr = Union(self._emit(s1, st1, assign1), self._emit(s2, st2, assign2))
-            return self._wrap_joins(expr, joins, assign)
-        raise InputError(f"corrupt search record {record!r}")
-
-    def _wrap_joins(self, expr: CwExpr, joins, assign: dict[int, int]) -> CwExpr:
+            expr = Union(self._emit(s1, st1, assign1, leaves), self._emit(s2, st2, assign2, leaves))
         for a, b in joins:
             expr = Join(assign[a], assign[b], expr)
         return expr
@@ -406,8 +399,9 @@ def _decompose(g: Graph) -> list[_Node]:
     A vertex set of two or more splits into its components when they are
     several (a parallel node), else into its co-components when they are
     several (series), else into its maximal proper modules (prime).  A prime
-    node's quotient keeps the least vertex of each module, under its name in
-    g.  Built with an explicit stack, so no recursion grows with the tree.
+    node's quotient has a vertex t for the t-th module, adjacent as the
+    modules' least vertices are.  Built with an explicit stack, so no
+    recursion grows with the tree.
     """
     adj = g.adj
     nodes: list[_Node] = []
@@ -430,7 +424,7 @@ def _decompose(g: Graph) -> list[_Node]:
             index = {v: t for t, v in enumerate(reps)}
             keep = sum(1 << v for v in reps)
             edges = [(t, index[u]) for t, v in enumerate(reps) for u in _bits(adj[v] & keep) if u > v]
-            payload = Graph(len(reps), edges, {t: g.name_of(v) for t, v in enumerate(reps)})
+            payload = Graph(len(reps), edges)
         here = len(nodes)
         nodes.append((kind, payload, [-1] * len(parts)))
         todo += [(p, here, slot) for slot, p in enumerate(parts)]
@@ -449,28 +443,6 @@ def _relabel(built: tuple[CwExpr, int], label: int) -> CwExpr:
     return expr
 
 
-def _substitute(expr: CwExpr, quotient: Graph, parts: list[tuple[CwExpr, int]]) -> CwExpr:
-    """The quotient's expression with each module's expression, relabelled
-    to the label its representative is created with, in place of that
-    representative's ``Create`` leaf.  One-vertex modules are that leaf."""
-    by_name = {quotient.name_of(t): part for t, part in enumerate(parts) if not isinstance(part[0], Create)}
-    if not by_name:
-        return expr
-    done: dict[int, CwExpr] = {}
-    for e in _postorder(expr):
-        match e:
-            case Create(label, name):
-                out = _relabel(by_name[name], label) if name in by_name else e
-            case Union(left, right):
-                out = Union(done[id(left)], done[id(right)])
-            case Join(i, j, sub):
-                out = Join(i, j, done[id(sub)])
-            case Rename(i, j, sub):
-                out = Rename(i, j, done[id(sub)])
-        done[id(e)] = out
-    return done[id(expr)]
-
-
 def _check_input(g: Graph, k: int, max_vertices: int) -> None:
     if max_vertices < 1:
         raise InputError(f"the vertex cap must be at least 1, got {max_vertices}")
@@ -485,7 +457,14 @@ def _check_input(g: Graph, k: int, max_vertices: int) -> None:
         raise InputError("the empty graph has no build expression")
 
 
-def _build(g: Graph, budgets: range) -> Optional[tuple[int, CwExpr]]:
+def _names(g: Graph) -> list[str]:
+    """The witness's vertex names: g's, or every vertex's number when two
+    repeat (the copies in a sum share their names), as for an unnamed graph."""
+    names = [g.name_of(v) for v in range(g.n)]
+    return names if len(set(names)) == g.n else [str(v) for v in range(g.n)]
+
+
+def _build(g: Graph, names: list[str], budgets: range) -> Optional[tuple[int, CwExpr]]:
     """(w, an expression for g on at most w labels), where w is the least
     budget that every node of g's decomposition tree fits in, or None once
     w would pass the last of ``budgets``.  No prime quotient is searched
@@ -504,7 +483,7 @@ def _build(g: Graph, budgets: range) -> Optional[tuple[int, CwExpr]]:
         kind, payload, kids = nodes[i]
         parts = [built[c] for c in kids]
         if kind == "leaf":
-            built[i] = (Create(1, g.name_of(payload)), 1)
+            built[i] = (Create(1, names[payload]), 1)
         elif kind == "parallel":
             expr = parts[0][0]
             for part in parts[1:]:
@@ -533,17 +512,18 @@ def _build(g: Graph, budgets: range) -> Optional[tuple[int, CwExpr]]:
                     break
             else:
                 return None
-            built[i] = (_substitute(search.witness(), payload, parts), len(search.accept[0]))
+            built[i] = (search.witness(parts), len(search.accept[0]))
         for c in kids:
             built[c] = None
     return need, built[0][0]
 
 
-def _verified(g: Graph, k: int, expr: CwExpr) -> CwExpr:
-    """expr, checked to rebuild g with at most k labels."""
+def _verified(g: Graph, names: list[str], k: int, expr: CwExpr) -> CwExpr:
+    """expr, checked to rebuild g with at most k labels, g's vertex v named
+    ``names[v]``."""
     built = eval_cwexpr(expr).graph
     # each built vertex's number in g, through its name
-    where = {g.name_of(v): v for v in range(g.n)}
+    where = {name: v for v, name in enumerate(names)}
     back = [where.get(built.names[u], -1) for u in range(built.n)]
     ok = (
         built.n == g.n
@@ -561,15 +541,17 @@ def cliquewidth_at_most(
 ) -> tuple[bool, Optional[CwExpr]]:
     """Decide whether some k-label expression builds g; return a witness if so."""
     _check_input(g, k, max_vertices)
-    found = _build(g, range(k, k + 1))
+    names = _names(g)
+    found = _build(g, names, range(k, k + 1))
     if found is None:
         return False, None
-    return True, _verified(g, k, found[1])
+    return True, _verified(g, names, k, found[1])
 
 
 def cliquewidth(g: Graph, max_vertices: int = DEFAULT_CAP) -> tuple[int, CwExpr]:
     """The exact clique-width of g with a witness expression."""
     _check_input(g, 1, max_vertices)
+    names = _names(g)
     # n labels build any n-vertex graph, so the budgets never run out
-    k, expr = _build(g, range(1, g.n + 1))
-    return k, _verified(g, k, expr)
+    k, expr = _build(g, names, range(1, g.n + 1))
+    return k, _verified(g, names, k, expr)

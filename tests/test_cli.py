@@ -162,6 +162,16 @@ def test_cw_exact_capacity():
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "name,value", [("2grid(3)", 4), ("grid(3)+grid(3)", 4), ("co(2grid(3))", 5)]
+)
+def test_cw_exact_with_repeated_vertex_names(name, value):
+    # the copies in a sum share their vertex names; the witness numbers them
+    code, out, err = invoke("cw", "exact", name, "--max-n", "18")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == f"cliquewidth={value}"
+
+
 def test_cw_exact_cap_below_one_is_an_input_error():
     for cap in ("0", "-3"):
         code, out, err = invoke("cw", "exact", "P4", "--max-n", cap)

@@ -302,22 +302,47 @@ def _substituted(outer: Graph, inner: Graph) -> Graph:
     return Graph(outer.n * m, edges)
 
 
+# The witnesses' sha256 digests were recorded while a second pass still
+# substituted each module's expression into its quotient's expression.
 @pytest.mark.parametrize(
-    "g,value",
+    "g,value,digest",
     [
-        (_substituted(graph_named("C5"), graph_named("K4")), 3),
-        (graph_named("co(4K5)"), 2),
-        (_substituted(graph_named("P4"), graph_named("C5")), 3),
+        (
+            _substituted(graph_named("C5"), graph_named("K4")),
+            3,
+            "c53e70934010e4394dda148e63088dbed1e411720cc140dd767807f42f8e619a",
+        ),
+        (graph_named("co(4K5)"), 2, "4ce327ef1cbbce8f276e4fe730529b3fe9874fe5f3fb28fff58ea3aa8ffb5715"),
+        (
+            _substituted(graph_named("P4"), graph_named("C5")),
+            3,
+            "e55d91a3c8cf72802dd8b981453f14ab38272f8a680b8b12516725b210b6cd6b",
+        ),
     ],
     ids=["C5[K4]", "co(4K5)", "P4[C5]"],
 )
-def test_twenty_vertex_graphs_with_small_prime_quotients(g, value):
+def test_twenty_vertex_graphs_with_small_prime_quotients(g, value, digest):
     # cw is the largest width over the decomposition's quotients, so each
     # is decided though the graph is connected and past the table cap
     assert g.n == 20
     k, witness = cliquewidth(g, max_vertices=20)
     assert k == value and width(witness) == value
+    assert hashlib.sha256(format_cwexpr(witness).encode()).hexdigest() == digest
     assert not cliquewidth_at_most(g, value - 1, max_vertices=20)[0]
+
+
+def test_repeated_vertex_names_fall_back_to_numbers():
+    # a sum gives every copy its piece's vertex names; the witness names the
+    # vertices by number instead, so it still rebuilds the graph
+    g = graph_named("2grid(3)")
+    assert len({g.name_of(v) for v in range(g.n)}) < g.n
+    k, witness = cliquewidth(g, max_vertices=18)
+    assert k == 4 and width(witness) == 4
+    built = eval_cwexpr(witness).graph
+    assert sorted(built.names.values()) == sorted(str(v) for v in range(g.n))
+    assert is_isomorphic(built, g)
+    ok, witness = cliquewidth_at_most(g, 4, max_vertices=18)
+    assert ok and is_isomorphic(eval_cwexpr(witness).graph, g)
 
 
 def _whole_search_width(g: Graph) -> int:

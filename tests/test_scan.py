@@ -239,3 +239,20 @@ def test_scan_past_the_enumeration_cap_builds_no_level():
     with pytest.raises(CapacityError, match="at most 9 vertices, got 10"):
         nonisomorphic_graphs(10)
     assert _level.cache_info() == before
+
+
+def test_class_pair_and_kernel_disagreement_is_a_conflict(monkeypatch):
+    # the class pairs claim no rule fires anywhere; the kernel re-fires
+    # every pair, and each pair where it fires a rule is a conflict, not a
+    # silently recounted verdict
+    real = _class_pairs
+
+    def nothing_fires(cat):
+        for ids, group, _, weight in real(cat):
+            yield ids, group, 0, weight
+
+    monkeypatch.setattr("cwkit.scan._class_pairs", nothing_fires)
+    result = scan_pairs(3)
+    assert result.conflicts
+    assert all("the pair kernel fires" in c for c in result.conflicts)
+    assert result.counts["Bounded"] == result.counts["Unbounded"] == 0
