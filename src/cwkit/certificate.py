@@ -23,7 +23,7 @@ from operator import or_
 from typing import Callable, Optional
 
 from .errors import HypothesisError, InputError, ParseError
-from .graphs import Graph
+from .graphs import Graph, _read_header
 
 __all__ = [
     "LayeredPartition",
@@ -75,7 +75,9 @@ def lower_bound(n: int, m: int) -> int:
     return (n - 1) // (m + 1) + 1
 
 
-def _validate_partition(g: Graph, p: LayeredPartition) -> None:
+def _validate_partition(g: Graph, p: LayeredPartition) -> dict[int, tuple[int, int]]:
+    """Check that p's cells partition V(g) within 0..n; return each
+    vertex's cell."""
     if p.n < 1:
         raise InputError(f"partition parameter n must be positive, got {p.n}")
     seen: dict[int, tuple[int, int]] = {}
@@ -93,6 +95,7 @@ def _validate_partition(g: Graph, p: LayeredPartition) -> None:
     if len(seen) != g.n:
         missing = sorted(set(range(g.n)) - set(seen))
         raise InputError(f"cells do not cover vertices {missing}: not a partition")
+    return seen
 
 
 def _outside(lines: dict[int, int]) -> Callable[[int, int], int]:
@@ -106,7 +109,7 @@ def _outside(lines: dict[int, int]) -> Callable[[int, int], int]:
 
 def check_certificate(g: Graph, p: LayeredPartition) -> CertificateReport:
     """Check the eight certificate properties of (g, p) and emit the bound."""
-    _validate_partition(g, p)
+    cell_of = _validate_partition(g, p)
     if p.n <= p.m + 1:
         raise HypothesisError(f"need n > m+1, got n={p.n}, m={p.m}")
     if p.cell(0, 0):
@@ -119,7 +122,6 @@ def check_certificate(g: Graph, p: LayeredPartition) -> CertificateReport:
 
     # Every step walks the nonempty cells, never the indices 1..n.
     cells = {key: cell for key, cell in p.cells.items() if cell}
-    cell_of = {v: key for key, cell in cells.items() for v in cell}
     # R_i and C_j include their border cells; the interior lines do not.
     rows: dict[int, int] = {}
     columns: dict[int, int] = {}
@@ -170,34 +172,26 @@ def check_certificate(g: Graph, p: LayeredPartition) -> CertificateReport:
     rows_outside = _outside(inner_rows)
     columns_outside = _outside(inner_columns)
 
-    def border_witness(border_axis: int) -> Optional[str]:
-        # border_axis 0: cells V_{k,0} constrain row index; 1: V_{0,k} / column.
-        # A V_{k,0} vertex fails exactly when it sees an interior row above k;
+    def border_witness(axis: int) -> Optional[str]:
+        # axis 0: a cell V_{k,0} bounds the rows it sees; 1: V_{0,k}, columns.
+        # A border vertex fails exactly when it sees an interior line above k;
         # the edge loop runs only to word the failure.
-        above = (rows_outside, columns_outside)[border_axis]
+        above = (rows_outside, columns_outside)[axis]
         if not any(
-            g.adj[v] & above(0, key[border_axis])
+            g.adj[v] & above(0, key[axis])
             for key, cell in cells.items()
-            if key[1 - border_axis] == 0
+            if key[1 - axis] == 0
             for v in cell
         ):
             return None
         for u, v in g.edges:
             for a, b in ((u, v), (v, u)):
-                ia, ja = cell_of[a]
-                ib, jb = cell_of[b]
-                if border_axis == 0 and ia >= 1 and ja == 0 and ib >= 1 and jb >= 1:
-                    if ib > ia:
-                        return (
-                            f"edge {g.name_of(a)}-{g.name_of(b)} joins V_{{{ia},0}} "
-                            f"to V_{{{ib},{jb}}} with {ib} > {ia}"
-                        )
-                if border_axis == 1 and ia == 0 and ja >= 1 and ib >= 1 and jb >= 1:
-                    if jb > ja:
-                        return (
-                            f"edge {g.name_of(a)}-{g.name_of(b)} joins V_{{0,{ja}}} "
-                            f"to V_{{{ib},{jb}}} with {jb} > {ja}"
-                        )
+                ka, kb = cell_of[a], cell_of[b]
+                if ka[1 - axis] == 0 and 1 <= ka[axis] < kb[axis] and min(kb) >= 1:
+                    return (
+                        f"edge {g.name_of(a)}-{g.name_of(b)} joins V_{{{ka[0]},{ka[1]}}} "
+                        f"to V_{{{kb[0]},{kb[1]}}} with {kb[axis]} > {ka[axis]}"
+                    )
         return None
 
     add(6, "a V_{k,0} vertex adjacent to V_{i,j} (i,j>=1) forces i <= k", border_witness(0))
@@ -242,18 +236,9 @@ def format_partition(p: LayeredPartition) -> str:
 
 
 def parse_partition(text: str) -> LayeredPartition:
-    rows = [ln for ln in (line.strip() for line in text.splitlines()) if ln and not ln.startswith("#")]
-    if not rows:
-        raise ParseError("empty partition input")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ParseError(f"partition header must be 'n m', got {rows[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError(f"partition header must be two integers, got {rows[0]!r}") from None
+    n, m, rows = _read_header(text, "partition")
     cells: dict[tuple[int, int], frozenset[int]] = {}
-    for ln in rows[1:]:
+    for ln in rows:
         if ":" not in ln:
             raise ParseError(f"cell line needs 'i j : vertices', got {ln!r}")
         left, right = ln.split(":", 1)

@@ -2,7 +2,8 @@
 
 Graph arguments accept, in order of attempted interpretation: a name in the
 graph DSL ("P5", "co(2P1+P3)"), a literal graph6 string, or a path to a file
-holding either an edge list ("n m" header) or a graph6 line.
+holding either an edge list ("n m" header, after any '#' comment lines) or a
+graph6 line.
 
 Exit codes: 0 success; 1 a boolean query answered negatively; 2 input or
 parse error; 3 capacity error; 4 internal invariant violation.
@@ -74,7 +75,8 @@ def resolve_graph(arg: str) -> Graph:
         text = _read_text(arg, "graph file")
         stripped = text.lstrip()
         try:
-            if stripped[:1].isdigit():
+            # a graph6 line starts with neither a digit nor '#'
+            if stripped[:1].isdigit() or stripped.startswith("#"):
                 return from_edge_list(text)
             return from_graph6(text)
         except InputError as exc:

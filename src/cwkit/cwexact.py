@@ -91,7 +91,7 @@ TABLE_CAP = 16
 class _Tables:
     """Bitmask tables of one connected graph, indexed by vertex set S.
 
-    Pair bits number the vertex pairs u < v in row order.
+    The pair u < v is bit v(v-1)/2 + u, as in graph6 and the scan's planes.
 
     * ``cn[S]``: vertices adjacent to every vertex of S;
     * ``split[S]``: vertices adjacent to some but not every vertex of S; a
@@ -108,10 +108,6 @@ class _Tables:
         self.g = g
         n = g.n
         full = (1 << n) - 1
-        pid = {}
-        for u in range(n):
-            for v in range(u + 1, n):
-                pid[(u, v)] = len(pid)
         size = full + 1
         cn = [full] * size
         split = [0] * size
@@ -125,8 +121,8 @@ class _Tables:
             un[s] = un[rest] | g.adj[v]
             split[s] = un[s] & ~cn[s]
             mask = ein[rest]
-            for w in _bits(g.adj[v] & rest):
-                mask |= 1 << pid[(v, w) if v < w else (w, v)]
+            for w in _bits(g.adj[v] & rest):  # v is the least vertex of s, so v < w
+                mask |= 1 << (w * (w - 1) // 2 + v)
             ein[s] = mask
         # An edge joins S to split[S] unless both its ends lie in S - split[S]
         # or both in split[S] - S.

@@ -231,13 +231,6 @@ _SYMBOLS = ("->", "+", "(", ")", ",", ";")
 _KEYWORDS = ("eta", "rho")
 
 
-def _build(toks: _Tokens, pos: int, node, *args) -> CwExpr:
-    try:
-        return node(*args)
-    except InputError as exc:
-        raise ParseError(str(exc), toks.text, pos) from None
-
-
 def _parse_expr(toks: _Tokens) -> CwExpr:
     """expr := prim ('+' prim)*, where a prim is a creation, ``eta(i,j; expr)``,
     ``rho(i->j; expr)`` or ``(expr)``.
@@ -270,7 +263,7 @@ def _parse_expr(toks: _Tokens) -> CwExpr:
         if name[0] not in ("word", "int"):
             raise ParseError("expected a vertex name", toks.text, name[2])
         toks.expect("sym", ")")
-        prim = _build(toks, pos, Create, int(value), name[1])
+        prim = toks.build(pos, Create, int(value), name[1])
         # Fold the finished prim into the open union; close every frame the
         # input closes here.
         while True:
@@ -283,7 +276,7 @@ def _parse_expr(toks: _Tokens) -> CwExpr:
                 return acc
             node, i, j, pos, outer = frames.pop()
             toks.expect("sym", ")")
-            prim = acc if node is None else _build(toks, pos, node, i, j, acc)
+            prim = acc if node is None else toks.build(pos, node, i, j, acc)
             acc = outer
 
 

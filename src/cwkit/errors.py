@@ -99,3 +99,11 @@ class _Tokens:
         if tok[0] != kind or (value is not None and tok[1] != value):
             raise ParseError(f"expected {value or kind}", self.text, tok[2])
         return tok
+
+    def build(self, pos: int, make, *args):
+        """``make(*args)``, with the InputError of a rejected value raised as
+        a ParseError at ``pos``."""
+        try:
+            return make(*args)
+        except InputError as exc:
+            raise ParseError(str(exc), self.text, pos) from None

@@ -175,15 +175,16 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, edges, g.names)
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Disjoint union; h's vertices are shifted up by g.n."""
-    edges = list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges]
-    names = {}
-    if g.names:
-        names.update(g.names)
-    if h.names:
-        names.update({v + g.n: s for v, s in h.names.items()})
-    return Graph(g.n + h.n, edges, names or None)
+def disjoint_union(*graphs: Graph) -> Graph:
+    """Disjoint union of any number of graphs, in one pass; each graph's
+    vertices are shifted up by the vertex counts of the graphs before it."""
+    n, edges, names = 0, [], {}
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edges]
+        if g.names:
+            names.update({v + n: s for v, s in g.names.items()})
+        n += g.n
+    return Graph(n, edges, names or None)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -306,22 +307,29 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_edge_list(text: str) -> Graph:
+def _read_header(text: str, what: str) -> tuple[int, int, list[str]]:
+    """The two integers of the "n m" header line of a text file and the
+    lines after it, stripped; blank lines and '#' lines are skipped.
+    ``what`` names the format in errors."""
     rows = [ln for ln in (line.strip() for line in text.splitlines()) if ln and not ln.startswith("#")]
     if not rows:
-        raise ParseError("empty edge-list input")
+        raise ParseError(f"empty {what} input")
     head = rows[0].split()
     if len(head) != 2:
-        raise ParseError(f"edge-list header must be 'n m', got {rows[0]!r}")
+        raise ParseError(f"{what} header must be 'n m', got {rows[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        return int(head[0]), int(head[1]), rows[1:]
     except ValueError:
-        raise ParseError(f"edge-list header must be two integers, got {rows[0]!r}") from None
+        raise ParseError(f"{what} header must be two integers, got {rows[0]!r}") from None
+
+
+def from_edge_list(text: str) -> Graph:
+    n, m, rows = _read_header(text, "edge-list")
     check_size(n, m, "the edge list")
-    if len(rows) - 1 != m:
-        raise ParseError(f"edge-list declares {m} edges but has {len(rows) - 1} edge lines")
+    if len(rows) != m:
+        raise ParseError(f"edge-list declares {m} edges but has {len(rows)} edge lines")
     edges = []
-    for ln in rows[1:]:
+    for ln in rows:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"bad edge line {ln!r}")

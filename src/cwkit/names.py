@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import InputError, ParseError, _Tokens
-from .graphs import EDGE_CAP, Graph, _bits, _component_masks, check_size, complement, induced_subgraph
+from .graphs import EDGE_CAP, Graph, _bits, _component_masks, check_size, complement, disjoint_union, induced_subgraph
 from .witnesses import _wall_size, grid, subdivided_wall, wall
 
 __all__ = [
@@ -187,33 +187,20 @@ def _parse_atom(toks: _Tokens, depth: int) -> NameExpr:
             toks.next()
             args.append(int(toks.expect("int")[1]))
         toks.expect("sym", ")")
-        try:
-            if value == "wall" and len(args) == 1:
-                return Wall(args[0])
-            if value == "swall" and len(args) == 2:
-                return SubdividedWall(args[0], args[1])
-            if value == "grid" and len(args) == 1:
-                return Grid(args[0])
-        except InputError as exc:
-            raise ParseError(str(exc), toks.text, pos) from None
-        raise ParseError(f"wrong number of arguments for {value}", toks.text, pos)
+        node = {("wall", 1): Wall, ("swall", 2): SubdividedWall, ("grid", 1): Grid}.get((value, len(args)))
+        if node is None:
+            raise ParseError(f"wrong number of arguments for {value}", toks.text, pos)
+        return toks.build(pos, node, *args)
     m = _WORD_ATOM.match(value)
-    try:
-        if m:
-            if m.group(1):
-                return Path(int(m.group(1)))
-            if m.group(2):
-                return Cycle(int(m.group(2)))
-            if m.group(3):
-                return Star(int(m.group(3)))
-            if m.group(4):
-                return Complete(int(m.group(4)))
-            return SubdividedClaw(int(m.group(5)), int(m.group(6)), int(m.group(7)))
+    if m is None:
         if value in NAMED_IDS:
             return Named(value)
-    except InputError as exc:
-        raise ParseError(str(exc), toks.text, pos) from None
-    raise ParseError(f"unknown graph name {value!r}", toks.text, pos)
+        raise ParseError(f"unknown graph name {value!r}", toks.text, pos)
+    path, cycle, star, complete, *legs = m.groups()
+    for node, r in ((Path, path), (Cycle, cycle), (Star, star), (Complete, complete)):
+        if r:
+            return toks.build(pos, node, int(r))
+    return toks.build(pos, SubdividedClaw, *map(int, legs))
 
 
 def _parse_term(toks: _Tokens, depth: int) -> tuple[int, NameExpr]:
@@ -334,17 +321,10 @@ def _build(expr: NameExpr) -> Graph:
             check_size(*_size(inner), format_name(inner))
             return complement(_build(inner))
         case Sum(parts):
-            # one pass with vertex offsets, as repeated disjoint_union would
-            # number them, but without copying the graph built so far
-            n, edges, names = 0, [], {}
+            pieces = []
             for mult, sub in parts:
-                piece = _build(sub)
-                for _ in range(mult):
-                    edges += [(u + n, v + n) for u, v in piece.edges]
-                    if piece.names:
-                        names.update({v + n: s for v, s in piece.names.items()})
-                    n += piece.n
-            return Graph(n, edges, names or None)
+                pieces += [_build(sub)] * mult
+            return disjoint_union(*pieces)
         case Wall(h):
             return wall(h)
         case SubdividedWall(h, k):

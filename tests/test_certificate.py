@@ -203,6 +203,41 @@ def test_partition_file_round_trip():
         parse_partition("3 0\n1 1 : 0\n1 1 : 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty partition input"),
+        ("# only a comment\n", "empty partition input"),
+        ("3\n", "partition header must be 'n m', got '3'"),
+        ("3 x\n", "partition header must be two integers, got '3 x'"),
+        ("3 0\n1 1 0\n", "cell line needs 'i j : vertices', got '1 1 0'"),
+        ("3 0\n1 : 0\n", "cell line needs two indices, got '1 : 0'"),
+        ("3 0\n1 1 : x\n", "bad cell line '1 1 : x'"),
+        ("3 0\n1 1 : 0\n1 1 : 1\n", "cell (1,1) listed twice"),
+    ],
+)
+def test_partition_reader_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_partition(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "n, cells, message",
+    [
+        (0, {}, "partition parameter n must be positive, got 0"),
+        (3, {(4, 1): frozenset({0})}, "cell index (4,1) outside 0..3"),
+        (3, {(1, -1): frozenset({0})}, "cell index (1,-1) outside 0..3"),
+        (3, {(1, 1): frozenset({0, 9})}, "cell (1,1) contains vertex 9 outside 0..8"),
+    ],
+)
+def test_partition_validation_errors(n, cells, message):
+    g, _ = grid(3)
+    with pytest.raises(InputError) as info:
+        check_certificate(g, LayeredPartition(n, 0, cells))
+    assert str(info.value) == message
+
+
 # -- golden reports ------------------------------------------------------
 
 GOLDEN_MEMBERS = [(f, k) for f in ("thm4G", "thm5G") for k in range(2, 8)]

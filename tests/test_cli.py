@@ -133,6 +133,24 @@ def test_witness_bad_params():
     assert code == 2  # walls carry no partition
 
 
+
+def test_witness_without_partition_refuses_out_partition(tmp_path):
+    part_file = tmp_path / "p.part"
+    code, out, err = invoke("witness", "wall", "3", "--out-partition", str(part_file))
+    assert code == 2 and out.startswith("family=wall")
+    assert err == "error: family wall carries no certificate partition\n"
+    assert not part_file.exists()
+
+
+def test_edge_list_file_opening_with_a_comment(tmp_path):
+    f = tmp_path / "triangle.edges"
+    f.write_text("# a triangle\n3 3\n0 1\n1 2\n0 2\n")
+    assert resolve_graph(str(f)) == graph_named("K3")
+    code, out, err = invoke("classify", "single", str(f))
+    assert (code, err) == (0, "")
+    assert out.startswith("status=Unbounded rule=SG matched=K3 ")
+
+
 def test_cw_exact_and_eval(tmp_path):
     code, out, _ = invoke("cw", "exact", "P4")
     assert code == 0

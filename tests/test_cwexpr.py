@@ -66,6 +66,10 @@ def test_parse_errors_carry_position():
         ("1(+)", "expected a vertex name", 2),
         ("x", "expected an expression", 0),
         ("eta(1,1; 1(a)+1(b))", "eta(1,1): join labels must differ", 0),
+        ("eta(0,1; 1(a))", "labels must be positive integers", 0),
+        ("rho(0->1; 1(a))", "labels must be positive integers", 0),
+        ("0(a)", "label 0 must be a positive integer", 0),
+        ("1(a) + rho(1->2; 0(b))", "label 0 must be a positive integer", 17),
     ],
 )
 def test_parse_error_messages_and_positions(bad, message, pos):

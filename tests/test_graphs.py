@@ -61,6 +61,16 @@ def test_disjoint_union_fixtures():
     assert is_isomorphic(three, graph_named("3P1"))
 
 
+def test_disjoint_union_of_any_number_of_graphs():
+    # numbered as by repeated two-graph unions
+    three = disjoint_union(disjoint_union(Graph(1), Graph(1)), Graph(1))
+    assert disjoint_union(Graph(1), Graph(1), Graph(1)) == three
+    g = graph_named("C5")
+    assert disjoint_union(g) == g and disjoint_union() == Graph(0)
+    named = disjoint_union(Graph(1, names={0: "a"}), Graph(2, [(0, 1)]), Graph(1, names={0: "b"}))
+    assert named.edges == {(1, 2)} and named.names == {0: "a", 3: "b"}
+
+
 def test_induced_subgraph_fixtures():
     c5 = graph_named("C5")
     assert is_isomorphic(induced_subgraph(c5, [0, 1, 2, 3]), graph_named("P4"))
@@ -154,6 +164,8 @@ def test_graph6_header_and_errors():
         from_graph6("D a")
     with pytest.raises(ParseError, match=r"^graph6 input must be ASCII$"):
         from_graph6("Dh\u00e9")  # would read as "Dh?", a 5-vertex graph
+    with pytest.raises(ParseError, match=r"^graph6 inputs beyond 258047 vertices are not supported$"):
+        from_graph6("~~??????")  # the eight-byte size field of n > 258047
 
 
 def test_graph6_padding_bits_are_not_edges(monkeypatch):
@@ -178,6 +190,28 @@ def test_edge_list_round_trip():
         from_edge_list("not a header\n")
     with pytest.raises(ParseError):
         from_edge_list("2 1\n")  # declared edge missing
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty edge-list input"),
+        ("# only a comment\n\n", "empty edge-list input"),
+        ("3\n", "edge-list header must be 'n m', got '3'"),
+        ("3 x\n", "edge-list header must be two integers, got '3 x'"),
+        ("3 1\n0\n", "bad edge line '0'"),
+        ("3 1\n0 x\n", "bad edge line '0 x'"),
+        ("3 2\n0 1\n", "edge-list declares 2 edges but has 1 edge lines"),
+    ],
+)
+def test_edge_list_reader_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        from_edge_list(text)
+    assert str(info.value) == message
+
+
+def test_edge_list_comment_lines_are_skipped():
+    assert from_edge_list("# a triangle\n3 3\n\n0 1\n# middle\n1 2\n0 2\n") == graph_named("K3")
 
 
 @pytest.mark.parametrize(

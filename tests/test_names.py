@@ -56,6 +56,12 @@ def test_parse_errors():
         ("grid(x)", "expected int", 5),
         ("Q7", "unknown graph name 'Q7'", 0),
         ("wall(3,4)", "wrong number of arguments for wall", 0),
+        ("grid(2)", "grid(2): side must be at least 3", 0),
+        ("swall(1,0)", "swall(1,0): need height >= 2 and k >= 0", 0),
+        ("C2", "C2: cycles need at least three vertices", 0),
+        ("S_2_1_1", "S_2_1_1: leg lengths must satisfy 1 <= i <= j <= k", 0),
+        ("P3+co(2K1_0)", "K1_0: stars need at least one leaf", 7),
+        ("P1+wall(1)", "wall(1): height must be at least 2", 3),
     ],
 )
 def test_parse_error_messages_and_positions(bad, message, pos):
