@@ -58,7 +58,7 @@ from .errors import InputError, InvariantViolation
 from .graphs import Graph, complement, induced_subgraph, to_graph6
 from .isomorphism import CANONICAL_CAP, canonical_key, is_isomorphic
 from .names import format_name, graph_named, recognize
-from .patterns import has_induced, has_induced_cycle_at_least, in_class_S, is_planar
+from .patterns import has_induced, has_induced_cycle_at_least, in_class_S, is_chordal, is_planar
 
 __all__ = [
     "Status",
@@ -130,8 +130,12 @@ def _is_complete(g: Graph) -> bool:
 
 
 def _has_cycle_at_least(g: Graph, length: int) -> bool:
-    # a forest skips the exponential probe
-    return not _is_forest(g) and has_induced_cycle_at_least(g, length, max_vertices=g.n)
+    """Some induced cycle has at least ``length`` >= 4 vertices.  A chordal
+    graph has none and any other graph has one of four or more, so only a
+    longer bound on a non-chordal graph runs the exponential probe."""
+    if is_chordal(g):
+        return False
+    return length == 4 or has_induced_cycle_at_least(g, length, max_vertices=g.n)
 
 
 _FLAGS: dict[str, Callable[[Graph], bool]] = {

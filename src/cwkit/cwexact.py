@@ -40,7 +40,7 @@ Every k-label expression walks through such states with at most k classes,
 and conversely any such state walk can be labelled with at most k labels, so
 searching the state space decides clique-width exactly.
 
-Three sound reductions keep the space small:
+Four sound reductions keep the space small:
 
 * join folding: after every move all fully joinable class pairs that still
   build a missing edge are joined at once (building more true edges earlier
@@ -52,10 +52,21 @@ Three sound reductions keep the space small:
   adjacent to x;
 * minimal union matchings: a union merges only as many class pairs as the
   label budget forces, because a larger matching equals a minimal one
-  followed by renames, which the closure explores anyway.
+  followed by renames, which the closure explores anyway;
+* the outside-neighbourhood bound: no alive class has a vertex of
+  ``split[c]`` outside the settled part, so a class's vertices share their
+  neighbourhood outside it, and a settled set whose vertices have more than
+  k distinct outside neighbourhoods has no state; it is skipped.
 
-``tests/test_cwexact.py`` checks all three against an unpruned search, and
+``tests/test_cwexact.py`` checks all four against an unpruned search, and
 the decomposition against the search on the whole graph.
+
+The states of one settled set are found in one flat loop
+(``_Search._close_subset``): the unions of every split into two smaller
+settled sets, then the closure under renames, each new state passing one
+local function that folds in the joins, drops it if dead and pushes it
+unless known.  The sets are taken by size, so a split's two sides are
+complete before it is read.
 
 The width is decided in one bottom-up walk of the tree (``_build``), which
 keeps the largest width needed so far: one at a leaf or parallel node, two
@@ -145,32 +156,6 @@ class _Search:
         self.reach: dict[int, dict[tuple, tuple]] = {}
         self.accept: Optional[tuple] = None
 
-    # -- small helpers ---------------------------------------------------
-
-    def normalize(self, classes: tuple[int, ...], missing: int):
-        """Apply every legal full join that still builds something."""
-        cn, ein = self.t.cn, self.t.ein
-        joins: list[tuple[int, int]] = []
-        for a, b in combinations(classes, 2):
-            if b & ~cn[a]:
-                continue  # some cross pair is a non-edge
-            cross = ein[a | b] & ~(ein[a] | ein[b])
-            if cross & missing:
-                joins.append((a, b))
-                missing &= ~cross
-        return missing, joins
-
-    def stuck(self, classes: tuple[int, ...], missing: int) -> bool:
-        """A missing edge no future join can build (see ``_Tables.bad``)."""
-        if missing:
-            bad = self.t.bad
-            for c in classes:
-                if bad[c] & missing:
-                    return True
-        return False
-
-    # -- the search ------------------------------------------------------
-
     def run(self) -> bool:
         for size in range(1, self.n + 1):
             for placed in self.t.by_size[size]:
@@ -180,114 +165,116 @@ class _Search:
         return False
 
     def _close_subset(self, placed: int) -> None:
+        """Every alive state on ``placed``: seeded by the unions of two
+        smaller subsets' states, then closed under renames, in one loop."""
+        t, k, reach = self.t, self.k, self.reach
+        cn, split, ein, bad = t.cn, t.split, t.ein, t.bad
+        outside = self.full & ~placed
+        # A class's vertices share their outside neighbourhood, so a state
+        # here needs a class for each distinct one.
+        adj = t.g.adj
+        if len({adj[v] & outside for v in _bits(placed)}) > k:
+            reach[placed] = {}
+            return
         states: dict[tuple, tuple] = {}
         queue: list[tuple] = []
 
-        def push(classes: tuple[int, ...], missing: int, record: tuple) -> None:
+        def admit(classes: tuple[int, ...], missing: int, head: tuple) -> None:
+            """Fold in every legal full join that still builds a missing
+            edge, drop the state if a missing edge can no longer be built
+            (see ``_Tables.bad``), and push it unless it is already known;
+            its record is ``head`` plus the joins."""
+            joins: list[tuple[int, int]] = []
+            if missing:
+                for a, b in combinations(classes, 2):
+                    if b & ~cn[a]:
+                        continue  # some cross pair is a non-edge
+                    built = ein[a | b] & ~(ein[a] | ein[b])
+                    if built & missing:
+                        joins.append((a, b))
+                        missing &= ~built
+                for c in classes:
+                    if bad[c] & missing:
+                        return
             state = (classes, missing)
-            if state in states:
-                return
-            states[state] = record
-            queue.append(state)
+            if state not in states:
+                states[state] = (*head, joins)
+                queue.append(state)
 
-        if placed.bit_count() == 1:
-            v = placed.bit_length() - 1
-            push((placed,), 0, ("create", v))
-        else:
-            lowbit = placed & -placed
-            sub = (placed - 1) & placed
-            while sub:
-                if sub & lowbit:
-                    self._seed_unions(placed, sub, placed ^ sub, push)
-                sub = (sub - 1) & placed
-        # close under renames (joins are folded into normalize); every state
-        # in the queue is alive, so only the merged class can newly split on
-        # an outside vertex or hold a missing edge
-        split, ein = self.t.split, self.t.ein
-        outside = self.full & ~placed
-        while queue:
-            classes, missing = queue.pop()
-            if len(classes) < 2:
+        lowbit = placed & -placed
+        if placed == lowbit:
+            # one class: no union seeds it and no rename leaves it
+            states[((placed,), 0)] = ("create", lowbit.bit_length() - 1)
+        # Seed the unions of s1 and s2 = placed - s1, s1 holding the least
+        # vertex, in decreasing order of s1; each merges exactly the class
+        # pairs the label budget forces.  An unmatched class of an alive
+        # operand stays alive; a matched pair a, b is dead at once if a
+        # vertex outside splits a | b or an edge joins a to b (it lies
+        # inside the merged class and is missing).
+        rest = placed ^ lowbit
+        r = rest
+        while r:
+            r = (r - 1) & rest
+            s1 = r | lowbit
+            r1 = reach.get(s1)
+            if not r1:
                 continue
+            s2 = placed ^ s1
+            r2 = reach.get(s2)
+            if not r2:
+                continue
+            cross = ein[placed] & ~ein[s1] & ~ein[s2]
+            for st1 in r1:
+                c1, m1 = st1
+                for st2 in r2:
+                    c2, m2 = st2
+                    need = len(c1) + len(c2) - k
+                    base = m1 | m2 | cross
+                    if need <= 0:
+                        admit(tuple(sorted(c1 + c2)), base, ("union", s1, st1, s2, st2, ()))
+                        continue
+                    # injective pairings of the picks with fitting partners,
+                    # in the order of combinations(c1) then product
+                    for picks in combinations(c1, need):
+                        partners = []
+                        for a in picks:
+                            fit = []
+                            for b in c2:
+                                ab = a | b
+                                if not (split[ab] & outside or ein[ab] & cross):
+                                    fit.append(b)
+                            if not fit:
+                                break  # this pick has no partner
+                            partners.append(fit)
+                        else:
+                            kept = [c for c in c1 if c not in picks]
+                            for perm in product(*partners):
+                                if len(set(perm)) < need:
+                                    continue
+                                match = tuple(zip(picks, perm))
+                                classes = tuple(
+                                    sorted([a | b for a, b in match] + kept + [c for c in c2 if c not in perm])
+                                )
+                                admit(classes, base, ("union", s1, st1, s2, st2, match))
+        # Close under renames (joins are folded into admit).  Every queued
+        # state is alive, so only the merged class can newly split on an
+        # outside vertex or hold a missing edge.
+        while queue:
+            state = queue.pop()
+            classes, missing = state
             for i, j in combinations(range(len(classes)), 2):
-                merged = classes[i] | classes[j]
+                ci, cj = classes[i], classes[j]
+                merged = ci | cj
                 if split[merged] & outside or ein[merged] & missing:
                     continue
-                rest = tuple(
-                    c for t, c in enumerate(classes) if t != i and t != j
-                )
-                new_classes = tuple(sorted(rest + (merged,)))
-                m2, joins = self.normalize(new_classes, missing)
-                if self.stuck(new_classes, m2):
-                    continue
-                push(
-                    new_classes,
-                    m2,
-                    ("rename", placed, (classes, missing), (classes[i], classes[j]), joins),
-                )
-        self.reach[placed] = states
+                new = tuple(sorted(classes[:i] + classes[i + 1 : j] + classes[j + 1 :] + (merged,)))
+                admit(new, missing, ("rename", placed, state, (ci, cj)))
+        reach[placed] = states
         if placed == self.full and self.accept is None:
-            for (classes, missing) in states:
-                if missing == 0:
-                    self.accept = (classes, missing)
+            for state in states:
+                if state[1] == 0:
+                    self.accept = state
                     break
-
-    def _seed_unions(self, placed: int, s1: int, s2: int, push) -> None:
-        r1 = self.reach.get(s1)
-        r2 = self.reach.get(s2)
-        if not r1 or not r2:
-            return
-        split, ein = self.t.split, self.t.ein
-        cross = ein[placed] & ~ein[s1] & ~ein[s2]
-        outside = self.full & ~placed
-
-        # An unmatched class of an alive operand stays alive; a matched pair
-        # a, b is dead at once if a vertex outside splits a | b or an edge
-        # joins a to b (it lies inside the merged class and is missing).
-        def fits(a: int, b: int) -> bool:
-            ab = a | b
-            return not (split[ab] & outside or ein[ab] & cross)
-
-        for (c1, m1) in r1:
-            for (c2, m2) in r2:
-                need = len(c1) + len(c2) - self.k
-                base_missing = m1 | m2 | cross
-                for match in self._matchings(c1, c2, max(0, need), fits):
-                    matched1 = {a for a, _ in match}
-                    matched2 = {b for _, b in match}
-                    classes = tuple(
-                        sorted(
-                            [a | b for a, b in match]
-                            + [c for c in c1 if c not in matched1]
-                            + [c for c in c2 if c not in matched2]
-                        )
-                    )
-                    missing, joins = self.normalize(classes, base_missing)
-                    if self.stuck(classes, missing):
-                        continue
-                    push(
-                        classes,
-                        missing,
-                        ("union", s1, (c1, m1), s2, (c2, m2), match, joins),
-                    )
-
-    def _matchings(self, c1, c2, size: int, fits):
-        """Injective class pairings of exactly the given size whose pairs all
-        fit, in the order of ``combinations(c1)`` then ``permutations(c2)``.
-
-        Larger matchings are redundant: they equal a minimal matching
-        followed by renames, which the closure explores anyway.
-        """
-        if size == 0:
-            yield ()
-            return
-        if size > len(c1) or size > len(c2):
-            return
-        for picks in combinations(c1, size):
-            partners = [[b for b in c2 if fits(a, b)] for a in picks]
-            for perm in product(*partners):
-                if len(set(perm)) == size:
-                    yield tuple(zip(picks, perm))
 
     # -- witness reconstruction -------------------------------------------
 

@@ -34,9 +34,9 @@ and both hold tuples, so no search can change them.
   memory as the host's adjacency, so the cache stays small.
 
 On top of the search sit the freeness test, the recognisers consumed by the
-rule tables (class S membership, planarity) and the induced cycle probe.  The
-probe is exponential, so it carries a configurable vertex cap and raises
-``CapacityError`` rather than ever returning a wrong answer.
+rule tables (class S membership, planarity, chordality) and the induced cycle
+probe.  The probe is exponential, so it carries a configurable vertex cap and
+raises ``CapacityError`` rather than ever returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import CapacityError, InputError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 __all__ = [
     "Embedding",
@@ -56,6 +56,7 @@ __all__ = [
     "in_class_S",
     "is_planar",
     "has_induced_cycle_at_least",
+    "is_chordal",
 ]
 
 PROBE_CAP = 16
@@ -287,6 +288,48 @@ def is_planar(g: Graph) -> bool:
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges)
     return nx.check_planarity(G)[0]
+
+
+# -- chordality ----------------------------------------------------------
+
+
+def is_chordal(g: Graph) -> bool:
+    """No induced cycle has four or more vertices.
+
+    Maximum cardinality search visits next an unvisited vertex with the most
+    visited neighbours; g is chordal iff the reverse of its visiting order is
+    a perfect elimination order (Tarjan–Yannakakis 1984).  That holds iff,
+    for every vertex v, the visited neighbours it had when visited, less the
+    last visited of them u, are all adjacent to u.  ``bucket[i]`` masks the
+    unvisited vertices with i visited neighbours, so the search runs in
+    O(n + m) bitmask steps.
+    """
+    adj = g.adj
+    count = [0] * g.n
+    bucket = [0] * (g.n + 1)
+    bucket[0] = (1 << g.n) - 1
+    when = [0] * g.n
+    top = visited = 0
+    for step in range(g.n):
+        while not bucket[top]:
+            top -= 1
+        low = bucket[top] & -bucket[top]
+        v = low.bit_length() - 1
+        bucket[top] ^= low
+        earlier = adj[v] & visited
+        if earlier:
+            u = max(_bits(earlier), key=when.__getitem__)
+            if earlier & ~adj[u] & ~(1 << u):
+                return False
+        when[v] = step
+        visited |= low
+        for w in _bits(adj[v] & ~visited):
+            bit = 1 << w
+            bucket[count[w]] ^= bit
+            count[w] += 1
+            bucket[count[w]] |= bit
+        top += 1
+    return True
 
 
 # -- induced cycle probe ------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,29 @@ def test_edge_list_file_opening_with_a_comment(tmp_path):
     code, out, err = invoke("classify", "single", str(f))
     assert (code, err) == (0, "")
     assert out.startswith("status=Unbounded rule=SG matched=K3 ")
+
+
+def test_colouring_pair_on_a_long_chordal_graph_is_fast(tmp_path):
+    # 18 diamonds glued tip to tip (55 vertices) have exponentially many
+    # induced paths, which the induced-cycle probe would grow one by one
+    # for the has-cycle>=4 and >=5 flags; chordality settles both at once
+    edges = []
+    for i in range(18):
+        t, a, b = 3 * i, 3 * i + 1, 3 * i + 2
+        edges += [(t, a), (t, b), (a, b), (a, t + 3), (b, t + 3)]
+    f = tmp_path / "diamonds.edges"
+    f.write_text(f"55 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    start = time.perf_counter()
+    code, out, err = invoke("colouring", "pair", str(f), "P1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out == (
+        "status=Polynomial rule=COL-P1 matched=P1,graph6:"
+        + "vzCWWCB?W?_B?B??_?W?B??C??W??W??C??B???W???_??B???B????_???W???B????C????W????W"
+        + "????C????B?????W?????_????B?????B??????_?????W?????B??????C??????W??????W??????C"
+        + "??????B???????W???????_??????B???????B????????_???????W???????B????????C????????W"
+        + "????????W cite=one side inside P1+P3 or P4\n"
+    )
 
 
 def test_cw_exact_and_eval(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from itertools import combinations, permutations
@@ -122,16 +123,35 @@ def test_width_distribution_small_graphs():
     assert is_isomorphic(prism, complement(graph_named("C6")))
 
 
+@functools.cache
+def _sweep_upto_seven() -> list[tuple[Graph, int, str]]:
+    """(g, width, witness) for each of the 1,252 frozen graphs with at most 7
+    vertices, computed once for the tests that read it."""
+    sweep = []
+    for g in frozen_graphs():
+        k, expr = cliquewidth(g)
+        sweep.append((g, k, format_cwexpr(expr)))
+    return sweep
+
+
 def test_width_distribution_seven_vertices():
     # frozen from the oracle's first full sweep; the <=2 row (1+179) equals
     # the published seven-vertex cograph count, and no seven-vertex graph
     # needs a fifth label
     from collections import Counter
 
-    from cwkit.enumeration import nonisomorphic_graphs
-
-    dist = Counter(cliquewidth(g)[0] for g in nonisomorphic_graphs(7))
+    dist = Counter(k for g, k, _ in _sweep_upto_seven() if g.n == 7)
     assert dict(dist) == {1: 1, 2: 179, 3: 810, 4: 54}
+
+
+def test_witnesses_golden_up_to_seven_vertices():
+    # Recorded before the closure of one subset became one flat loop; any
+    # change to the states explored, or to the order they are pushed in,
+    # changes some witness.
+    lines = [f"{k} {witness}" for _, k, witness in _sweep_upto_seven()]
+    assert len(lines) == 1252
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "efb9fb2ec0d843463c9697f5b925a7b05d1508c2247f21cefc335c1c413cbe57"
 
 
 def test_trees_need_at_most_three_labels():
@@ -368,6 +388,17 @@ def test_heredity_and_complement_bounds_up_to_six_vertices():
     value = {canonical_key(g): cliquewidth(g)[0] for g in graphs}
     for g in graphs:
         k = value[canonical_key(g)]
+        assert value[canonical_key(complement(g))] <= 2 * k, g
+        for v in range(g.n if g.n > 1 else 0):
+            smaller = induced_subgraph(g, [u for u in range(g.n) if u != v])
+            assert value[canonical_key(smaller)] <= k, (g, v)
+
+
+def test_heredity_and_complement_bounds_up_to_seven_vertices():
+    # as above, over every graph with at most 7 vertices
+    value = {canonical_key(g): k for g, k, _ in _sweep_upto_seven()}
+    assert len(value) == 1252
+    for g, k, _ in _sweep_upto_seven():
         assert value[canonical_key(complement(g))] <= 2 * k, g
         for v in range(g.n if g.n > 1 else 0):
             smaller = induced_subgraph(g, [u for u in range(g.n) if u != v])

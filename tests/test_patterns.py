@@ -4,7 +4,7 @@ import re
 import networkx as nx
 import pytest
 
-from conftest import naive_contains_induced, naive_has_induced_cycle_at_least
+from conftest import frozen_graphs, naive_contains_induced, naive_has_induced_cycle_at_least
 from cwkit.enumeration import nonisomorphic_graphs, nonisomorphic_graphs_upto
 from cwkit.errors import CapacityError, InputError
 from cwkit.graphs import Graph, complement, induced_subgraph
@@ -15,6 +15,7 @@ from cwkit.patterns import (
     has_induced,
     has_induced_cycle_at_least,
     in_class_S,
+    is_chordal,
     is_free,
     is_planar,
 )
@@ -238,6 +239,53 @@ def test_long_cycle_probe_matches_chordality():
         G.add_nodes_from(range(g.n))
         G.add_edges_from(g.edges)
         assert has_induced_cycle_at_least(g, 4) == (not nx.is_chordal(G))
+
+
+def test_chordality_matches_the_probe_up_to_seven_vertices():
+    for g in frozen_graphs():
+        assert is_chordal(g) == (not has_induced_cycle_at_least(g, 4)), g
+
+
+def _random_chordal(rng: random.Random, n: int) -> Graph:
+    """Each new vertex joins a clique among the earlier ones: the cliques
+    spanned by a vertex and part of its earlier neighbours."""
+    edges: set[tuple[int, int]] = set()
+    earlier: list[set[int]] = []
+    for v in range(n):
+        if v and rng.random() < 0.9:
+            u = rng.randrange(v)
+            clique = {u} | {w for w in earlier[u] if rng.random() < 0.6}
+        else:
+            clique = set()
+        earlier.append(clique)
+        edges |= {(w, v) for w in clique}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_chordality_agrees_with_networkx_on_random_graphs():
+    rng = random.Random(25)
+    graphs = []
+    for _ in range(150):
+        n = rng.randint(1, 40)
+        graphs.append(_random_chordal(rng, n))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs.append(Graph(n, rng.sample(pairs, int(len(pairs) * rng.random() ** 3))))
+        # a chordal graph plus one random edge is often not chordal
+        g = graphs[-2]
+        non_edges = [e for e in pairs if not g.has_edge(*e)]
+        if non_edges:
+            graphs.append(Graph(n, list(g.edges) + [rng.choice(non_edges)]))
+    chordal = 0
+    for g in graphs:
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges)
+        assert is_chordal(g) == nx.is_chordal(G), g
+        chordal += is_chordal(g)
+    # both verdicts occur often
+    assert 150 <= chordal <= len(graphs) - 100, chordal
 
 
 def test_probe_guards():
