@@ -28,19 +28,37 @@ stripped, decided on the graph as they read when it is the complement); the
 colouring table has one plain view.  One evaluator, ``decide_sides``,
 decides every side.  For a lone graph it decides tokens on demand, in
 written order, and a side stops at its first token that holds, so a costly
-token is decided only where the cheaper ones before it fail; each token is
-decided at most once per graph, across views.  A scan level passes each
-graph's profile, its ``>=X`` answers decided for the whole level at once,
-and a side tests that first.  A ``<=X`` token whose X has fewer vertices
+token is decided only where the cheaper ones before it fail.  A graph's
+token cache (``_decided``, bounded, keyed by the graph) keeps the value of
+every token decided on it, so each token is decided at most once per graph
+across views, tables and calls.  A scan level passes each graph's profile,
+its ``>=X`` answers decided for the whole level at once, and a side tests
+that first; that path keeps its tokens in a dict of its own call, so no
+token cache grows with a level.  A ``<=X`` token whose X has fewer vertices
 than the graph is false on both paths, without a search.  ``_holds`` decides
 one token: adding a fact means writing its token in a rule, and a new
-flag's predicate goes in ``_FLAGS``.  The per-graph caches hold the side
-bitmasks: ``colouring_facts`` for the colouring table, and ``cw_facts`` for
-the pair table's own and dual views, which ``pair_sides`` combines with the
-complement's.  ``fire`` ORs the sides over the members.  The earliest rule
-in table order that fires on the first member to fire gives the verdict;
-rules of opposite statuses firing together are an internal error that names
-every fired rule.
+flag's predicate goes in ``_FLAGS``.  ``cw_facts`` gives the pair table's
+own and dual views of a graph, ``pair_sides`` combines a graph's own view
+with its complement's dual view, and ``colouring_facts`` gives the
+colouring table's sides; the last two may be asked for the sides of some
+rules only.
+
+``fire`` ORs the sides over the members.  A rule fires on a member (a, b)
+when its left side holds on one graph and its right side on the other, so
+one query decides the cheaper graph of each member in full (fewer vertices;
+on a tie, the first) and the other graph only where that can matter: its
+left sides for the rules whose right side holds on the first, its right
+sides for those whose left side does.  On ``classify_pair "grid(20)" P3``
+no token is searched on the grid.  The earliest rule in table order that
+fires on the first member to fire gives the verdict; rules of opposite
+statuses firing together are an internal error that names every fired
+rule.
+
+The closure of one query keys its graphs by (order, size, degree
+sequence), an invariant of isomorphism, and refines that key by the
+canonical key only when two different labelled graphs of the closure share
+it; so the key is equal exactly for the isomorphic graphs among them, and
+most closures compute no canonical key at all.
 
 Every verdict carries the rule identifier, the pair member that matched, and
 a citation anchor naming the mathematical source of the rule.
@@ -103,7 +121,9 @@ class Verdict:
         }
 
 
+@lru_cache(maxsize=1024)
 def display_name(g: Graph) -> str:
+    # Graph hashes its labelled edges, and the name ignores vertex names.
     expr = recognize(g)
     if expr is not None:
         return format_name(expr)
@@ -132,7 +152,7 @@ def _is_complete(g: Graph) -> bool:
 def _has_cycle_at_least(g: Graph, length: int) -> bool:
     """Some induced cycle has at least ``length`` >= 4 vertices.  A chordal
     graph has none and any other graph has one of four or more, so only a
-    longer bound on a non-chordal graph runs the exponential probe."""
+    longer bound on a non-chordal graph runs the long-cycle test."""
     if is_chordal(g):
         return False
     return length == 4 or has_induced_cycle_at_least(g, length, max_vertices=g.n)
@@ -263,18 +283,32 @@ def _compile(rules: tuple[Rule, ...], views: tuple[Optional[bool], ...]) -> Rule
     return RuleTable(tuple(bits), tuple(compiled))
 
 
-def decide_sides(table: RuleTable, g: Graph, profile: Optional[int] = None) -> tuple[int, ...]:
+@lru_cache(maxsize=512)
+def _decided(g: Graph) -> dict[str, bool]:
+    """The values of the tokens decided on g so far."""
+    return {}
+
+
+def decide_sides(
+    table: RuleTable, g: Graph, profile: Optional[int] = None, want: Optional[tuple[int, ...]] = None
+) -> tuple[int, ...]:
     """The bitmasks of the rules whose side holds on g, per view and
-    position, each token decided at most once.  Without ``profile`` a side
-    decides its tokens in written order and stops at the first that holds.
-    With it (bit p set when g contains pattern p, as a scan level reads it)
-    a side tests the profile first and searches none of its >=X tokens."""
+    position, each token decided at most once.  With ``want`` (a bitmask per
+    view and position) only the sides of the wanted rules are decided, and
+    the others read as not holding.  Without ``profile`` a side decides its
+    tokens in written order, through g's token cache, and stops at the
+    first that holds.  With it (bit p set when g contains pattern p, as a
+    scan level reads it) a side tests the profile first and searches none
+    of its >=X tokens."""
     read = profile is not None
-    decided: dict[str, bool] = {}
+    decided = {} if read else _decided(g)
     out = []
-    for sides in table.views:
+    for v, sides in enumerate(table.views):
+        need = -1 if want is None else want[v]
         bits = 0
-        for bit, mask, tokens, others in sides:
+        for bit, mask, tokens, others in sides if need else ():
+            if not bit & need:
+                continue
             if not tokens or read and profile & mask:
                 bits |= bit
                 continue
@@ -293,7 +327,6 @@ def decide_sides(table: RuleTable, g: Graph, profile: Optional[int] = None) -> t
 PAIR_TABLE = _compile(PAIR_RULES, (False, True))
 
 
-@lru_cache(maxsize=None)
 def cw_facts(g: Graph) -> tuple[int, int, int, int]:
     """The pair rules' side bitmasks on g: (own_left, own_right, dual_left,
     dual_right).  The own pair reads g's own tokens, the dual pair the
@@ -301,17 +334,19 @@ def cw_facts(g: Graph) -> tuple[int, int, int, int]:
     return decide_sides(PAIR_TABLE, g)
 
 
-def pair_sides(g: Graph, co: Graph) -> tuple[int, int]:
-    """Pair rule sides of g, whose complement is co."""
-    own_left, own_right, _, _ = cw_facts(g)
-    _, _, dual_left, dual_right = cw_facts(co)
+def pair_sides(g: Graph, co: Graph, want: Optional[tuple[int, int]] = None) -> tuple[int, int]:
+    """Pair rule sides of g, whose complement is co; with ``want``, only the
+    (left, right) sides of the rules it sets."""
+    left, right = (-1, -1) if want is None else want
+    own_left, own_right, _, _ = decide_sides(PAIR_TABLE, g, want=(left, right, 0, 0))
+    _, _, dual_left, dual_right = decide_sides(PAIR_TABLE, co, want=(0, 0, left, right))
     return own_left | dual_left, own_right | dual_right
 
 
-@lru_cache(maxsize=None)
-def colouring_facts(g: Graph) -> tuple[int, int]:
-    """The colouring rules' left and right side bitmasks on g."""
-    return decide_sides(COLOURING_TABLE, g)
+def colouring_facts(g: Graph, want: Optional[tuple[int, int]] = None) -> tuple[int, int]:
+    """The colouring rules' left and right side bitmasks on g; with
+    ``want``, only the (left, right) sides of the rules it sets."""
+    return decide_sides(COLOURING_TABLE, g, want=want)
 
 
 # -- the thirteen open cases ----------------------------------------------
@@ -375,14 +410,30 @@ def pair_class(h1: Node, h2: Node, key: Callable, co: Callable, swap: Callable) 
     return members
 
 
-def fire(members: list[tuple[Node, Node]], sides: Callable) -> tuple[int, Optional[tuple[int, Node, Node]]]:
+def fire(
+    members: list[tuple[Node, Node]], sides: Callable, size: Optional[Callable] = None
+) -> tuple[int, Optional[tuple[int, Node, Node]]]:
     """The rule bits fired on any member, and the first firing: the lowest
-    rule of the first member that fires, oriented as the rule matched it."""
+    rule of the first member that fires, oriented as the rule matched it.
+
+    ``sides(node)`` gives a node's (left, right) rule sides.  With ``size``,
+    a member's smaller node (on a tie, the first) is read in full, and the
+    other as ``sides(node, (lefts, rights))``: only its left sides of the
+    rules whose right side the first holds, and its right sides of those
+    whose left side it holds.  Only those can meet the first's sides, so
+    the bits and the first firing are the same."""
     fired = 0
     first = None
     for a, b in members:
-        la, ra = sides(a)
-        lb, rb = sides(b)
+        if size is None:
+            la, ra = sides(a)
+            lb, rb = sides(b)
+        elif size(b) < size(a):
+            lb, rb = sides(b)
+            la, ra = sides(a, (rb, lb))
+        else:
+            la, ra = sides(a)
+            lb, rb = sides(b, (ra, la))
         ab = la & rb
         bits = ab | (lb & ra)
         if bits and first is None:
@@ -424,6 +475,29 @@ def _graph_key(g: Graph) -> tuple:
     return canonical_key(g)
 
 
+def _closure_key() -> Callable[[Graph], tuple]:
+    """A key for the graphs of one closure, equal exactly for the isomorphic
+    ones: (order, size, degree sequence), with ``_graph_key`` appended for
+    a graph that shares it with an earlier, different labelled graph and is
+    not isomorphic to that graph (past the canonical-form cap: is not that
+    graph)."""
+    firsts: dict[tuple, Graph] = {}
+    keys: dict[Graph, tuple] = {}
+    canonical = lru_cache(maxsize=None)(_graph_key)
+
+    def key(g: Graph) -> tuple:
+        k = keys.get(g)
+        if k is None:
+            k = (g.n, len(g.edges), g.degree_sequence())
+            first = firsts.setdefault(k, g)
+            if first is not g and first != g and canonical(g) != canonical(first):
+                k += (canonical(g),)
+            keys[g] = k
+        return k
+
+    return key
+
+
 def _graph_swap(g: Graph) -> Optional[Graph]:
     # K3 and the paw are the only graphs with these orders and degrees.
     if g.n == 3 and g.degree_sequence() == (2, 2, 2):
@@ -437,7 +511,7 @@ def equivalence_class(h1: Graph, h2: Graph) -> list[tuple[Graph, Graph]]:
     """All unordered pairs reachable by complementing both sides and by
     swapping K3 with the paw at either position, deduplicated up to
     isomorphism."""
-    return pair_class(h1, h2, lru_cache(maxsize=None)(_graph_key), complement, _graph_swap)
+    return pair_class(h1, h2, _closure_key(), complement, _graph_swap)
 
 
 # -- classifiers ------------------------------------------------------------
@@ -454,6 +528,13 @@ def classify_single(h: Graph) -> Verdict:
     )
 
 
+_complement = lru_cache(maxsize=512)(complement)
+
+
+def _order(g: Graph) -> int:
+    return g.n
+
+
 def _fired_ids(rules: tuple[Rule, ...], fired: int) -> str:
     return ", ".join(rule.rule_id for r, rule in enumerate(rules) if fired >> r & 1)
 
@@ -466,11 +547,20 @@ def _first_verdict(rules: tuple[Rule, ...], first: tuple[int, Graph, Graph]) -> 
 
 def classify_pair(h1: Graph, h2: Graph) -> Verdict:
     """Two forbidden induced subgraphs: Bounded, Unbounded, or Open; total."""
-    # The closure complements every member graph: complements are made once
-    # per call.
-    co = lru_cache(maxsize=None)(complement)
-    members = pair_class(h1, h2, lru_cache(maxsize=None)(_graph_key), co, _graph_swap)
-    fired, first = fire(members, lambda g: pair_sides(g, co(g)))
+    # The closure complements every member graph.  A complement is made
+    # once, here or in an earlier call, and each graph made is known as the
+    # complement of the graph it came from.
+    known: dict[Graph, Graph] = {}
+
+    def co(g: Graph) -> Graph:
+        h = known.get(g)
+        if h is None:
+            h = known[g] = _complement(g)
+            known.setdefault(h, g)
+        return h
+
+    members = pair_class(h1, h2, _closure_key(), co, _graph_swap)
+    fired, first = fire(members, lambda g, want=None: pair_sides(g, co(g), want), _order)
     if fired & BOUNDED_BITS and fired & UNBOUNDED_BITS:
         raise InvariantViolation(
             f"rules {_fired_ids(PAIR_RULES, fired)} fire together on the class of "
@@ -600,7 +690,7 @@ COLOURING_OPEN_CASES: tuple[tuple[str, str], ...] = (
 
 def classify_colouring(h1: Graph, h2: Graph) -> Verdict:
     """Colouring complexity for the pair; Unknown when no table row applies."""
-    fired, first = fire([(h1, h2)], colouring_facts)
+    fired, first = fire([(h1, h2)], colouring_facts, _order)
     if fired & NP_COMPLETE_BITS and fired & POLYNOMIAL_BITS:
         raise InvariantViolation(
             f"colouring rules {_fired_ids(COLOURING_RULES, fired)} fire together on "

@@ -34,9 +34,11 @@ and both hold tuples, so no search can change them.
   memory as the host's adjacency, so the cache stays small.
 
 On top of the search sit the freeness test, the recognisers consumed by the
-rule tables (class S membership, planarity, chordality) and the induced cycle
-probe.  The probe is exponential, so it carries a configurable vertex cap and
-raises ``CapacityError`` rather than ever returning a wrong answer.
+rule tables (class S membership, planarity, chordality) and the induced long
+cycle test.  That test checks each induced path of L-3 vertices for an
+induced cycle of at least L vertices through it, so it is polynomial for a
+fixed L but not in L; it carries a configurable vertex cap and raises
+``CapacityError`` rather than ever returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _component_masks
 
 __all__ = [
     "Embedding",
@@ -336,7 +338,20 @@ def is_chordal(g: Graph) -> bool:
 
 
 def has_induced_cycle_at_least(g: Graph, length: int, max_vertices: Optional[int] = None) -> bool:
-    """True iff some chordless cycle has at least ``length`` vertices."""
+    """True iff some chordless cycle has at least ``length`` vertices.
+
+    A graph has a cycle exactly when it has a chordless one, so length 3
+    asks whether g is a forest.  For length L >= 4 (Nikolopoulos–Palios,
+    Algorithmica 2007), such a cycle exists exactly when some induced path
+    Q = q1 ... q_{L-3} has two distinct, non-adjacent outside vertices a and
+    d, a adjacent to q1 and to no other vertex of Q, d to q_{L-3} and to no
+    other, that both touch one component C of G - N[Q]: a shortest path
+    from a to d through C closes an induced cycle with Q, and conversely
+    L-3 consecutive vertices of a long induced cycle, the two vertices
+    beside them and the rest of the cycle give Q, a, d and C.  Each induced
+    path of L-3 vertices is checked once, in O(n + m) bitmask steps, so for
+    a fixed L the test takes polynomial time.
+    """
     if length < 3:
         raise InputError("cycle length threshold must be at least 3")
     limit = PROBE_CAP if max_vertices is None else max_vertices
@@ -344,31 +359,39 @@ def has_induced_cycle_at_least(g: Graph, length: int, max_vertices: Optional[int
         raise CapacityError(
             f"induced cycle probe capped at {limit} vertices, got {g.n}; raise max_vertices to override"
         )
+    if length == 3:
+        return len(g.edges) > g.n - len(g.component_masks())
     adj = g.adj
-    # Grow induced paths from their least vertex s, one stack frame per path
-    # vertex holding the mask of its neighbours not yet tried.  The path is
-    # chordless by construction, so a next vertex that touches the path only
-    # at its last vertex and at s closes an induced cycle.
-    for s in range(g.n):
-        later = -1 << (s + 1)
-        path = [s]
-        used = 1 << s
-        untried = [adj[s] & later]
-        while untried:
-            c = untried[-1]
-            if not c:
-                untried.pop()
-                used ^= 1 << path.pop()
-                continue
-            low = c & -c
-            untried[-1] = c ^ low
-            w = low.bit_length() - 1
-            bad = adj[w] & used & ~(1 << path[-1])
-            if bad:
-                if bad == 1 << s and len(path) + 1 >= length:
-                    return True
-                continue
-            path.append(w)
-            used |= low
-            untried.append(adj[w] & later & ~used)
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    full = (1 << g.n) - 1
+    # Depth first over the induced paths of L-3 vertices.  An entry holds a
+    # path and the closed neighbourhoods of the path less its last vertex
+    # (``before``, which the next vertex must avoid), of the whole path
+    # (``around``) and of the path less its first vertex (``tail``).
+    stack = [((v,), 0, closed[v], 0) for v in range(g.n)]
+    while stack:
+        path, before, around, tail = stack.pop()
+        if len(path) < length - 3:
+            for w in _bits(adj[path[-1]] & ~before):
+                stack.append((path + (w,), around, around | closed[w], tail | closed[w]))
+        # each path once, from its lesser end; a is beside its first vertex
+        # only, d beside its last only
+        elif path[0] <= path[-1]:
+            if _linked(adj, closed, full & ~around, adj[path[0]] & ~tail, adj[path[-1]] & ~before):
+                return True
+    return False
+
+
+def _linked(adj, closed, rest: int, firsts: int, lasts: int) -> bool:
+    """Whether some a in ``firsts`` and d in ``lasts``, distinct and not
+    adjacent, both have a neighbour in one component of the vertex set
+    ``rest``."""
+    if not any(lasts & ~closed[a] for a in _bits(firsts)):
+        return False
+    for comp in _component_masks(adj, rest):
+        touch = 0
+        for v in _bits(comp):
+            touch |= adj[v]
+        if any(lasts & touch & ~closed[a] for a in _bits(firsts & touch)):
+            return True
     return False

@@ -2,11 +2,18 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import frozen_graphs
 from cwkit.classifier import (
     _FLAGS,
+    _decided,
+    _first_verdict,
+    _graph_key,
+    _graph_swap,
     _holds,
+    BOUNDED_BITS,
     COLOURING_OPEN_CASES,
     COLOURING_RULES,
     OPEN_CASES,
@@ -20,11 +27,15 @@ from cwkit.classifier import (
     colouring_facts,
     cw_facts,
     equivalence_class,
+    fire,
+    open_case,
+    pair_class,
     pair_sides,
+    UNBOUNDED_BITS,
 )
 from cwkit.enumeration import nonisomorphic_graphs_upto
 from cwkit.errors import InputError, InvariantViolation
-from cwkit.graphs import complement, from_graph6, to_graph6
+from cwkit.graphs import Graph, complement, from_graph6, to_graph6
 from cwkit.isomorphism import is_isomorphic
 from cwkit.names import graph_named
 
@@ -228,7 +239,7 @@ def test_colouring_stops_at_the_first_token_that_holds(monkeypatch):
         return probe(g)
 
     monkeypatch.setitem(_FLAGS, "co-has-cycle>=6", guarded)
-    colouring_facts.cache_clear()
+    _decided.cache_clear()
     line = classify_colouring(grid, graph_named("P3")).line()
     assert line.startswith("status=Polynomial rule=COL-P1 matched=P3,graph6:")
 
@@ -247,11 +258,88 @@ def test_pair_side_stops_at_the_first_token_that_holds(monkeypatch):
         return search(host, pattern)
 
     monkeypatch.setattr(classifier, "has_induced", guarded)
-    cw_facts.cache_clear()
+    _decided.cache_clear()
     u3 = 1 << [rule.rule_id for rule in PAIR_RULES].index("U3")
     own_left, _, _, dual_right = cw_facts(g)
     assert own_left & u3 and dual_right & u3
     assert search(g, two_p2)
+
+
+def test_pair_decides_a_large_graph_only_where_the_small_one_can_fire(monkeypatch):
+    # B1 fires on P3 alone, and P3's sides leave the grid only <=X tokens,
+    # which a graph larger than X fails without a search; so neither the
+    # grid nor its complement is ever the host of a search
+    import cwkit.classifier as classifier
+
+    grid = graph_named("grid(14)")
+    hosts, search = (grid, complement(grid)), classifier.has_induced
+
+    def guarded(host, pattern):
+        if host in hosts:
+            raise AssertionError(f"searched {display_name(pattern)} in grid(14) or its complement")
+        return search(host, pattern)
+
+    monkeypatch.setattr(classifier, "has_induced", guarded)
+    _decided.cache_clear()
+    line = classify_pair(grid, graph_named("P3")).line()
+    assert line.startswith("status=Bounded rule=B1 matched=P3,graph6:")
+
+
+# graphs past the canonical-form cap, keyed by their labelled edges
+_OVER_CAP = ("grid(5)", "co(grid(5))", "C17", "P17+P1", "K3+grid(4)")
+_FROZEN = frozen_graphs()
+
+
+@st.composite
+def _relabelled_graphs(draw):
+    if draw(st.integers(0, 9)):
+        g = draw(st.sampled_from(_FROZEN))
+    else:
+        g = graph_named(draw(st.sampled_from(_OVER_CAP)))
+    perm = draw(st.permutations(range(g.n)))
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _reference_pair(h1: Graph, h2: Graph) -> tuple:
+    """classify_pair's class, fired rules and line as the closure keyed by
+    ``_graph_key`` and a fire that reads every side of every graph give
+    them."""
+    members = pair_class(h1, h2, _graph_key, complement, _graph_swap)
+    fired, first = fire(members, lambda g: pair_sides(g, complement(g)))
+    assert not (fired & BOUNDED_BITS and fired & UNBOUNDED_BITS)
+    if first is not None:
+        line = _first_verdict(PAIR_RULES, first).line()
+    else:
+        case_id, n1, n2 = open_case(members, _graph_key)
+        line = f"status=Open rule={case_id} matched={n1},{n2} cite=boundedness open; one of the thirteen listed cases"
+    return members, fired, first, line
+
+
+def _reference_colouring_line(h1: Graph, h2: Graph) -> str:
+    fired, first = fire([(h1, h2)], colouring_facts)
+    if first is None:
+        return f"status=Unknown rule=COL-OPEN matched={display_name(h1)},{display_name(h2)} cite=outside both colouring tables; complexity unresolved"
+    return _first_verdict(COLOURING_RULES, first).line()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relabelled_graphs(), _relabelled_graphs())
+# a 5-vertex graph that is not self-complementary, though its complement
+# has its order, size and degree sequence
+@example(Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]), Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]))
+@example(graph_named("grid(5)"), graph_named("co(grid(5))"))
+@example(graph_named("K3"), graph_named("co(K1_3+3P1)"))
+def test_pair_and_colouring_match_the_unmasked_reference(h1, h2):
+    # the invariant-first closure key and the masked fire change nothing a
+    # query shows: the class, its order, the fired rules and both lines
+    members, fired, first, line = _reference_pair(h1, h2)
+    assert equivalence_class(h1, h2) == members
+    # members pair labelled graphs; Graph compares labelled edges
+    co = {}
+    sides = lambda g, want=None: pair_sides(g, co.setdefault(g, complement(g)), want)
+    assert fire(members, sides, lambda g: g.n) == (fired, first)
+    assert classify_pair(h1, h2).line() == line
+    assert classify_colouring(h1, h2).line() == _reference_colouring_line(h1, h2)
 
 
 _COL_N1 = "status=NP-complete rule=COL-N1 matched={} cite=both sides keep some chordless cycle"
@@ -277,12 +365,12 @@ def test_conflict_errors_list_every_fired_rule(monkeypatch):
 
     every = (1 << 64) - 1
     k3, p4 = graph_named("K3"), graph_named("P4")
-    monkeypatch.setattr(classifier, "pair_sides", lambda g, co: (every, every))
+    monkeypatch.setattr(classifier, "pair_sides", lambda g, co, want=None: (every, every))
     ids = ", ".join(rule.rule_id for rule in classifier.PAIR_RULES)
     with pytest.raises(InvariantViolation) as info:
         classify_pair(k3, p4)
     assert str(info.value) == f"rules {ids} fire together on the class of (K3,P4)-free graphs"
-    monkeypatch.setattr(classifier, "colouring_facts", lambda g: (every, every))
+    monkeypatch.setattr(classifier, "colouring_facts", lambda g, want=None: (every, every))
     ids = ", ".join(rule.rule_id for rule in classifier.COLOURING_RULES)
     with pytest.raises(InvariantViolation) as info:
         classify_colouring(k3, p4)

@@ -175,6 +175,42 @@ def test_colouring_pair_on_a_long_chordal_graph_is_fast(tmp_path):
     )
 
 
+def test_colouring_pair_on_a_long_non_chordal_graph_is_fast(tmp_path):
+    # the same chain plus a C4 is not chordal, and 2P2 holds COL-N8's right
+    # side, so has-cycle>=5 is decided on it: in polynomial time, one check
+    # per edge, where growing every induced path took exponential time
+    edges = []
+    for i in range(18):
+        t, a, b = 3 * i, 3 * i + 1, 3 * i + 2
+        edges += [(t, a), (t, b), (a, b), (a, t + 3), (b, t + 3)]
+    edges += [(55, 56), (56, 57), (57, 58), (58, 55)]
+    f = tmp_path / "diamonds-c4.edges"
+    f.write_text(f"59 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    start = time.perf_counter()
+    code, out, err = invoke("colouring", "pair", str(f), "2P2")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out == (
+        "status=NP-complete rule=COL-N3 matched=graph6:"
+        + "zzCWWCB?W?_B?B??_?W?B??C??W??W??C??B???W???_??B???B????_???W???B????C????W????W?"
+        + "???C????B?????W?????_????B?????B??????_?????W?????B??????C??????W??????W??????C?"
+        + "?????B???????W???????_??????B???????B????????_???????W???????B????????C????????W"
+        + "????????W?????????????????@?????????G????????A_"
+        + ",2P2 cite=both sides keep a spanning subgraph of 2P2 induced\n"
+    )
+
+
+def test_classify_pair_decides_a_large_graph_only_where_the_small_one_can_fire():
+    # B1 fires on P3 alone; the grid is complemented and named, but no
+    # token is searched on it or on its complement
+    start = time.perf_counter()
+    code, out, err = invoke("classify", "pair", "grid(20)", "P3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    grid = to_graph6(graph_named("grid(20)"))
+    assert out == f"status=Bounded rule=B1 matched=P3,graph6:{grid} cite=cographs have clique-width at most 2 [CO00]\n"
+
+
 def test_cw_exact_and_eval(tmp_path):
     code, out, _ = invoke("cw", "exact", "P4")
     assert code == 0

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwkit.cwexpr import (
     Create,
@@ -141,6 +143,67 @@ def test_format_parse_round_trip_random():
     for _ in range(300):
         e = random_expr(rng, 7)
         assert parse_cwexpr(format_cwexpr(e)) == e
+
+
+_LABELS = st.integers(1, 5)
+# a term's shape: a creation's label, or an operation on shapes; vertex
+# names are given after drawing, so that they are distinct
+_SHAPES = st.recursive(
+    _LABELS,
+    lambda sub: st.one_of(
+        st.tuples(st.just("+"), sub, sub),
+        st.tuples(st.just("eta"), _LABELS, _LABELS, sub).filter(lambda t: t[1] != t[2]),
+        st.tuples(st.just("rho"), _LABELS, _LABELS, sub),
+    ),
+    max_leaves=12,
+)
+# names the grammar reads: identifiers other than its keywords, and digits
+_VERTEX_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}|[0-9]{1,3}", fullmatch=True).filter(
+    lambda s: s not in ("eta", "rho")
+)
+
+
+@st.composite
+def _terms(draw):
+    shape = draw(_SHAPES)
+    leaves, stack = 0, [shape]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, int):
+            leaves += 1
+        else:
+            stack.extend(node[1:])
+    names = iter(draw(st.lists(_VERTEX_NAMES, min_size=leaves, max_size=leaves, unique=True)))
+
+    def build(node):
+        if isinstance(node, int):
+            return Create(node, next(names))
+        if node[0] == "+":
+            left = build(node[1])  # names go left to right
+            return Union(left, build(node[2]))
+        return (Join if node[0] == "eta" else Rename)(node[1], node[2], build(node[3]))
+
+    return build(shape)
+
+
+def _by_name(expr):
+    """The evaluated graph by vertex name: each vertex's label, and the
+    edges as pairs of names."""
+    lab = eval_cwexpr(expr)
+    name = lab.graph.names
+    labels = {name[v]: label for v, label in enumerate(lab.label_of)}
+    return labels, {frozenset((name[u], name[v])) for u, v in lab.graph.edges}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms())
+def test_format_parse_eval_round_trip(e):
+    text = format_cwexpr(e)
+    parsed = parse_cwexpr(text)
+    assert parsed == e, text
+    assert format_cwexpr(parsed) == text
+    assert _by_name(parsed) == _by_name(e)
+    assert width(parsed) == width(e)
 
 
 def test_file_parsing_with_comments():
