@@ -79,7 +79,12 @@ ANDs.  ``cliquewidth`` walks with the budgets 1..n and
 ``cliquewidth_at_most`` with its one budget k.  A prime node with more than
 ``TABLE_CAP`` children is refused with ``CapacityError`` while the tree is
 built, before any table is allocated, whatever ``max_vertices`` allows;
-``max_vertices`` caps the whole graph.
+``max_vertices`` caps the whole graph.  One search that would hold more than
+``STATE_CAP`` states raises ``CapacityError`` too.  The states are counted
+as each settled set's loop runs, not in ``admit``: one set can hold most of
+them (the 14-vertex graph ``MhZcxlIigyy`Fmw}_`` in graph6 holds 144,000
+states before its last set at 7 labels, and that set alone ran past 2
+million and out of 1 GiB).
 """
 
 from __future__ import annotations
@@ -91,12 +96,16 @@ from .errors import CapacityError, InputError, InvariantViolation
 from .graphs import Graph, _bits, _component_masks
 from .cwexpr import Create, CwExpr, Join, Rename, Union, eval_cwexpr, width
 
-__all__ = ["cliquewidth_at_most", "cliquewidth", "DEFAULT_CAP", "TABLE_CAP"]
+__all__ = ["cliquewidth_at_most", "cliquewidth", "DEFAULT_CAP", "STATE_CAP", "TABLE_CAP"]
 
 DEFAULT_CAP = 8
 # The most vertices a prime quotient may have: its tables hold 2**n entries
 # each.  Unlike DEFAULT_CAP, no argument lifts it.
 TABLE_CAP = 16
+# The most build states one search (one prime quotient at one label budget)
+# may hold, over all its vertex sets.  A state and its record take some 400
+# bytes, so a search stays under about half a GiB.  No argument lifts it.
+STATE_CAP = 1_000_000
 
 
 class _Tables:
@@ -154,6 +163,7 @@ class _Search:
         self.full = (1 << self.n) - 1
         # reach[S]: state -> parent record
         self.reach: dict[int, dict[tuple, tuple]] = {}
+        self.held = 0  # states in ``reach``
         self.accept: Optional[tuple] = None
 
     def run(self) -> bool:
@@ -178,6 +188,7 @@ class _Search:
             return
         states: dict[tuple, tuple] = {}
         queue: list[tuple] = []
+        room = STATE_CAP - self.held
 
         def admit(classes: tuple[int, ...], missing: int, head: tuple) -> None:
             """Fold in every legal full join that still builds a missing
@@ -225,6 +236,8 @@ class _Search:
                 continue
             cross = ein[placed] & ~ein[s1] & ~ein[s2]
             for st1 in r1:
+                if len(states) > room:
+                    self._over_cap()
                 c1, m1 = st1
                 for st2 in r2:
                     c2, m2 = st2
@@ -260,6 +273,8 @@ class _Search:
         # state is alive, so only the merged class can newly split on an
         # outside vertex or hold a missing edge.
         while queue:
+            if len(states) > room:
+                self._over_cap()
             state = queue.pop()
             classes, missing = state
             for i, j in combinations(range(len(classes)), 2):
@@ -270,11 +285,20 @@ class _Search:
                 new = tuple(sorted(classes[:i] + classes[i + 1 : j] + classes[j + 1 :] + (merged,)))
                 admit(new, missing, ("rename", placed, state, (ci, cj)))
         reach[placed] = states
+        self.held += len(states)
+        if self.held > STATE_CAP:
+            self._over_cap()
         if placed == self.full and self.accept is None:
             for state in states:
                 if state[1] == 0:
                     self.accept = state
                     break
+
+    def _over_cap(self) -> None:
+        raise CapacityError(
+            f"exact clique-width search capped at {STATE_CAP} build states; a prime quotient of "
+            f"{self.n} vertices needs more at {self.k} labels"
+        )
 
     # -- witness reconstruction -------------------------------------------
 

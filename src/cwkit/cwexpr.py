@@ -6,6 +6,11 @@ label-j vertex ("eta(i,j; e)", i != j), and rename a label ("rho(i->j; e)").
 The number of distinct labels appearing anywhere in a term is its width; the
 least width over all terms building a graph is that graph's clique-width.
 
+A vertex name is written bare when it is an identifier other than ``eta``
+and ``rho``, or a run of digits, and in double quotes otherwise
+(``2("x_{2,2}")``), so every name that ``Create`` accepts survives a round
+trip through text; a name may hold no double quote and no line break.
+
 Expression files are UTF-8 text in this grammar, one expression per file;
 '#' begins a comment line.
 """
@@ -98,6 +103,8 @@ class Create(_Term):
             raise InputError(f"label {self.label} must be a positive integer")
         if not self.vertex:
             raise InputError("vertex names must be non-empty")
+        if '"' in self.vertex or self.vertex.splitlines() != [self.vertex]:
+            raise InputError(f"vertex name {self.vertex!r} holds a double quote or a line break")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -226,9 +233,12 @@ def width(expr: CwExpr) -> int:
 
 # -- concrete syntax -------------------------------------------------------
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# A vertex name is an identifier, a run of digits, or any text without a
+# double quote or a line break, in double quotes.
+_NAME = re.compile(r'[A-Za-z_][A-Za-z0-9_]*|"[^"\n]*"')
 _SYMBOLS = ("->", "+", "(", ")", ",", ";")
 _KEYWORDS = ("eta", "rho")
+_BARE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+")
 
 
 def _parse_expr(toks: _Tokens) -> CwExpr:
@@ -263,7 +273,7 @@ def _parse_expr(toks: _Tokens) -> CwExpr:
         if name[0] not in ("word", "int"):
             raise ParseError("expected a vertex name", toks.text, name[2])
         toks.expect("sym", ")")
-        prim = toks.build(pos, Create, int(value), name[1])
+        prim = toks.build(pos, Create, int(value), name[1][1:-1] if name[1][0] == '"' else name[1])
         # Fold the finished prim into the open union; close every frame the
         # input closes here.
         while True:
@@ -305,7 +315,8 @@ def format_cwexpr(expr: CwExpr) -> str:
             case str():
                 out.append(item)
             case Create(label, name):
-                out.append(f"{label}({name})")
+                bare = _BARE.fullmatch(name) and name not in _KEYWORDS
+                out.append(f"{label}({name})" if bare else f'{label}("{name}")')
             case Union(left, right) if isinstance(right, Union):
                 stack += [")", right, " + (", left]
             case Union(left, right):

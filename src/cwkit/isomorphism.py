@@ -19,7 +19,6 @@ from typing import Optional
 
 from .errors import CapacityError
 from .graphs import Graph, _bits, complement
-from .patterns import has_induced
 
 __all__ = ["canonical_key", "graph_of_key", "is_isomorphic", "refine_colours"]
 
@@ -172,4 +171,6 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     # are isomorphic exactly when the graphs are.
     if 4 * len(g.edges) > g.n * (g.n - 1):
         g, h = complement(g), complement(h)
+    from .patterns import has_induced  # patterns imports this module's cap
+
     return has_induced(h, g)

@@ -9,20 +9,40 @@ vertex and the non-neighbourhood of every earlier non-adjacent one, less the
 images already used.  There are two entry points: ``has_induced`` stops at
 the first embedding, and ``contains_induced`` goes on to return the
 lexicographically least one by pinning pattern vertices 0, 1, ... in turn.
-That second pass reuses the first pass's steps: the images of the pinned
+That second pass reuses the steps of ``_plan``: the images of the pinned
 vertices are ANDed into the candidate bases of the later ones, and the
 steps of pinned vertices are skipped.  Only callers that report the
 embedding should pay for it.
 
-Two caches keep the search from redoing work that depends on one graph only.
-Both are keyed by ``Graph``, which compares edges and ignores vertex names,
-and both hold tuples, so no search can change them.
+On a host of more than ``CANONICAL_CAP`` (16) vertices, the first pass of a
+pattern of at most that many takes the plan of ``_pruned`` instead.  It
+finds one embedding of each orbit under the pattern's automorphisms, which
+is enough to decide existence: it enters each component at a vertex of the
+highest degree and the least eccentricity, and adds orbit inequalities
+f(v_i) < f(w), for each w in the orbit of v_i under the automorphisms that
+fix the vertices before it.  A step ANDs in the host vertices above the
+images its inequalities name.  The patterns of the witness families'
+freeness lists have 48 automorphisms (3P2), 4 (P2+P4, co(2P1+P2)) or 2 (P6,
+co(P1+P4)).  The lexicographic pass never sees the inequalities: the first
+pass's embedding only bounds it from above, so the least embedding is the
+same.  A pruned plan costs a search of the pattern in itself for each
+candidate orbit member, so small hosts keep ``_plan``: one-off queries and
+the scan search many fresh patterns on hosts of a few vertices.  So do
+patterns of more than 16 vertices, such as the big patterns of isomorphism
+tests.
+
+Three caches keep the search from redoing work that depends on one graph
+only.  All are keyed by ``Graph``, which compares edges and ignores vertex
+names, and all hold tuples, so no search can change them.
 
 - ``_plan`` holds a pattern's degrees and the first pass's steps, about
   n*n/2 references for an n-vertex pattern.  The two rule tables name 40
   patterns; 256 entries keep them cached while the fresh graphs of one-off
   queries and of the ``<=X`` facts (where the queried graph is the pattern)
   pass through.
+- ``_pruned`` holds the pruned plans: degrees, steps and each step's
+  inequalities.  Its 64 entries hold the patterns searched on big hosts:
+  the table patterns of the ``>=X`` facts and the families' freeness lists.
 - ``_host`` holds a host's degree masks and non-neighbourhood masks.  Its 8
   entries serve the ``>=X`` facts of one-off queries, in which one graph is
   the host of every pattern in turn.  The ``<=X`` facts use the table
@@ -30,8 +50,9 @@ and both hold tuples, so no search can change them.
   decides its ``>=X`` facts without this search, so in ``scan_pairs(7)``
   only its ``<=X`` facts and the naming of its open pairs reach the cache:
   250 calls, for 18 distinct hosts built 46 times; 32 entries would save
-  28 of those builds of graphs of at most 7 vertices.  Each of its three tables of a big host takes as much
-  memory as the host's adjacency, so the cache stays small.
+  28 of those builds of graphs of at most 7 vertices.  Each of its three
+  tables of a big host takes as much memory as the host's adjacency, so the
+  cache stays small.
 
 On top of the search sit the freeness test, the recognisers consumed by the
 rule tables (class S membership, planarity, chordality) and the induced long
@@ -49,6 +70,7 @@ from typing import Optional
 
 from .errors import CapacityError, InputError
 from .graphs import Graph, _bits, _component_masks
+from .isomorphism import CANONICAL_CAP
 
 __all__ = [
     "Embedding",
@@ -81,10 +103,9 @@ class Embedding:
         return True
 
 
-def _search_order(pattern: Graph) -> list[int]:
-    """Breadth-first order, each component entered at its highest-degree vertex."""
-    deg = [a.bit_count() for a in pattern.adj]
-    rank = sorted(range(pattern.n), key=lambda v: (-deg[v], v))
+def _search_order(pattern: Graph, rank: list[int]) -> list[int]:
+    """Breadth-first order: each component is entered at its first vertex in
+    ``rank``, and each vertex's unseen neighbours follow in ``rank`` order."""
     seen = 0
     order: list[int] = []
     for root in rank:
@@ -101,6 +122,21 @@ def _search_order(pattern: Graph) -> list[int]:
                     seen |= 1 << q
                     order.append(q)
     return order
+
+
+def _eccentricity(adj, v: int) -> int:
+    """The greatest distance from v to a vertex of its component."""
+    seen = frontier = 1 << v
+    far = 0
+    while True:
+        ring = 0
+        for u in _bits(frontier):
+            ring |= adj[u]
+        frontier = ring & ~seen
+        if not frontier:
+            return far
+        seen |= frontier
+        far += 1
 
 
 def _steps(pattern: Graph, placed: list[int], rest: list[int]) -> tuple:
@@ -120,8 +156,78 @@ def _steps(pattern: Graph, placed: list[int], rest: list[int]) -> tuple:
 
 @lru_cache(maxsize=256)
 def _plan(pattern: Graph) -> tuple:
-    """(degrees, steps): the pattern's degrees and the first pass's steps."""
-    return tuple(a.bit_count() for a in pattern.adj), _steps(pattern, [], _search_order(pattern))
+    """(degrees, steps): the pattern's degrees and the first pass's steps,
+    each component entered at its highest-degree vertex."""
+    degrees = tuple(a.bit_count() for a in pattern.adj)
+    rank = sorted(range(pattern.n), key=lambda v: (-degrees[v], v))
+    return degrees, _steps(pattern, [], _search_order(pattern, rank))
+
+
+def _orbit(v: int, maps: list[list[int]]) -> int:
+    """The orbit of v under the group that the permutations ``maps``
+    generate, as a mask."""
+    orbit, grown = 0, 1 << v
+    while grown != orbit:
+        fresh = grown & ~orbit
+        orbit = grown
+        for image in maps:
+            for u in _bits(fresh):
+                grown |= 1 << image[u]
+    return orbit
+
+
+@lru_cache(maxsize=64)
+def _pruned(pattern: Graph) -> tuple:
+    """(degrees, steps, below): a first pass that finds one embedding of each
+    orbit under the pattern's automorphisms.
+
+    The order is breadth-first, each component entered at a vertex of the
+    highest degree and, among those, of the least eccentricity, so a path
+    starts at its centre.  ``below[i]`` lists the earlier pattern vertices
+    whose images must lie below the image of step i's vertex.  For the
+    order v_1, v_2, ..., each vertex w != v_i in the orbit of v_i under the
+    automorphisms fixing v_1 ... v_{i-1} requires f(v_i) < f(w) (Grochow–
+    Kellis, RECOMB 2007).  Every embedding f has a composite f∘a with an
+    automorphism a that meets them all: pick a at each level among the
+    automorphisms fixing the earlier vertices, to give v_i the least image
+    in its orbit.
+
+    The orbits come from the search itself: an embedding of the pattern in
+    itself that pins v_1 ... v_{i-1} and maps v_i to w is an automorphism.
+    Levels are taken last to first, so every automorphism found so far fixes
+    the current level's pinned vertices, and the orbit it generates needs no
+    search.
+    """
+    n, adj = pattern.n, pattern.adj
+    degrees = tuple(a.bit_count() for a in adj)
+    rank = sorted(range(n), key=lambda v: (-degrees[v], _eccentricity(adj, v), v))
+    order = _search_order(pattern, rank)
+    steps = _steps(pattern, [], order)
+    full = (1 << n) - 1
+    nadj = [full ^ a for a in adj]
+    of_degree = [0] * n
+    for v, d in enumerate(degrees):
+        of_degree[d] |= 1 << v
+    found: list[list[int]] = []
+    below: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        v = order[i]
+        orbit = _orbit(v, found)
+        for w in order[i + 1 :]:
+            if degrees[w] != degrees[v] or orbit >> w & 1:
+                continue
+            bases = [of_degree[d] for d in degrees]
+            for u in order[:i]:
+                bases[u] = 1 << u
+            bases[v] = 1 << w
+            image = [-1] * n
+            if _extend(adj, nadj, steps, bases, image, 0):
+                found.append(image)
+                orbit = _orbit(v, found)
+        for j in range(i + 1, n):
+            if orbit >> order[j] & 1:
+                below[j].append(v)
+    return degrees, steps, tuple(tuple(b) for b in below)
 
 
 @lru_cache(maxsize=8)
@@ -142,14 +248,15 @@ def _host(host: Graph) -> tuple:
     return tuple(at_least), tuple(at_most), tuple(full ^ a for a in host.adj)
 
 
-def _extend(adj, nadj, steps, bases: list[int], image: list[int], used: int) -> bool:
+def _extend(adj, nadj, steps, bases: list[int], image: list[int], used: int, below=None) -> bool:
     """Map the pattern vertices of ``steps`` in turn, trying host vertices in
     increasing order.
 
     ``adj`` and ``nadj`` are the host's neighbourhood and non-neighbourhood
     masks.  ``image`` holds the images of the vertices placed before the
     first step and, on success, of every vertex; ``used`` is the mask of
-    those images.
+    those images.  ``below``, if given, lists for each step the pattern
+    vertices whose images must lie below the image of the step's vertex.
     """
     depth = len(steps)
     if not depth:
@@ -164,6 +271,9 @@ def _extend(adj, nadj, steps, bases: list[int], image: list[int], used: int) -> 
             c &= adj[image[q]]
         for q in outs:
             c &= nadj[image[q]]
+        if below:
+            for q in below[i]:
+                c &= -(2 << image[q])
         taken[i] = used
         while not c:
             i -= 1
@@ -181,22 +291,29 @@ def _extend(adj, nadj, steps, bases: list[int], image: list[int], used: int) -> 
 
 
 def _first_embedding(host: Graph, pattern: Graph):
-    """(steps, candidate bases, host non-neighbourhoods, some induced
-    embedding), or None."""
+    """(candidate bases, host non-neighbourhoods, some induced embedding),
+    or None.
+
+    A pattern of at most ``CANONICAL_CAP`` vertices in a host of more takes
+    the plan of ``_pruned``; any other search takes the plan of ``_plan``.
+    """
     pn, hn = pattern.n, host.n
     pe, he = len(pattern.edges), len(host.edges)
     if pn > hn or pe > he or pn * (pn - 1) // 2 - pe > hn * (hn - 1) // 2 - he:
         return None
-    degrees, steps = _plan(pattern)
+    if pn <= CANONICAL_CAP < hn:
+        degrees, steps, below = _pruned(pattern)
+    else:
+        (degrees, steps), below = _plan(pattern), None
     at_least, at_most, nadj = _host(host)
     # degree >= d, and co-degree hn-1-deg >= pn-1-d
     bases = [at_least[d] & at_most[hn - pn + d] for d in degrees]
     if not all(bases):
         return None
     image = [-1] * pn
-    if not _extend(host.adj, nadj, steps, bases, image, 0):
+    if not _extend(host.adj, nadj, steps, bases, image, 0, below):
         return None
-    return steps, bases, nadj, image
+    return bases, nadj, image
 
 
 def has_induced(host: Graph, pattern: Graph) -> bool:
@@ -224,7 +341,8 @@ def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
     first = _first_embedding(host, pattern)
     if first is None:
         return None
-    steps, bases, nadj, found = first
+    bases, nadj, found = first
+    steps = _plan(pattern)[1]
     adj = host.adj
     used = 0
     # Lexicographic minimisation, one pattern vertex at a time: the current

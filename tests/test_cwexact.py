@@ -191,6 +191,25 @@ def test_capacity_and_input_guards():
         cliquewidth_at_most(graph_named("P4"), 0)
 
 
+def test_search_past_the_state_cap_is_refused(monkeypatch):
+    import contextlib
+    import io
+
+    from cwkit import cwexact
+    from cwkit.cli import run
+
+    g = graph_named("grid(3)")  # prime; its search at 4 labels holds 851 states
+    monkeypatch.setattr(cwexact, "STATE_CAP", 851)
+    assert cliquewidth(g, max_vertices=9)[0] == 4
+    monkeypatch.setattr(cwexact, "STATE_CAP", 850)
+    with pytest.raises(CapacityError, match="capped at 850 build states"):
+        cliquewidth(g, max_vertices=9)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert run(["cw", "exact", "grid(3)", "--max-n", "9"]) == 3
+    assert "Traceback" not in err.getvalue()
+
+
 def _is_prime(g: Graph) -> bool:
     """No vertex set M with 1 < |M| < n is a module (every vertex outside M
     sees all of M or none of it); brute force over the subsets."""

@@ -49,6 +49,26 @@ def test_duplicate_vertex_names_rejected():
         parse_cwexpr("1(a) + 1(a)")
 
 
+def test_names_outside_the_bare_grammar_are_quoted():
+    from cwkit.cwexact import cliquewidth
+    from cwkit.witnesses import FAMILIES
+
+    for name, text in (("eta", '1("eta")'), ("a b", '1("a b")'), ("x_{2,2}", '1("x_{2,2}")'), ("007", "1(007)")):
+        assert format_cwexpr(Create(1, name)) == text
+        assert parse_cwexpr(text) == Create(1, name)
+    # the oracle's witness for a family member, whose names hold braces
+    g = FAMILIES["thm5G"].build(2)[0]
+    _, expr = cliquewidth(g, max_vertices=g.n)
+    text = format_cwexpr(expr)
+    assert '2("x_{2,2}")' in text and parse_cwexpr(text) == expr
+    for bad in ('a"b', "a\nb", "a\rb"):
+        with pytest.raises(InputError):
+            Create(1, bad)
+    for bad in ('1("")', '1("a"b)', '1("ab)', '1("a\nb")'):
+        with pytest.raises(ParseError):
+            parse_cwexpr(bad)
+
+
 def test_parse_errors_carry_position():
     for bad in ["", "eta(1,2 1(a))", "rho(1=>2; 1(a))", "1(a) +", "2()", "foo(a)"]:
         with pytest.raises(ParseError):
@@ -157,9 +177,15 @@ _SHAPES = st.recursive(
     ),
     max_leaves=12,
 )
-# names the grammar reads: identifiers other than its keywords, and digits
-_VERTEX_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}|[0-9]{1,3}", fullmatch=True).filter(
-    lambda s: s not in ("eta", "rho")
+# names the grammar reads bare (identifiers and digits), its keywords, and
+# any other text without a double quote or a line break, which it reads in
+# double quotes
+_VERTEX_NAMES = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}|[0-9]{1,3}", fullmatch=True),
+    st.sampled_from(("eta", "rho", "x_{2,2}", "a b", "(", "+", "#")),
+    st.text(st.characters(exclude_characters='"', exclude_categories=("Cs",)), min_size=1, max_size=4).filter(
+        lambda s: s.splitlines() == [s]
+    ),
 )
 
 

@@ -330,3 +330,146 @@ def test_cached_search_plans_agree_with_naive_oracle():
                 fresh = Graph(5, [e for b, e in enumerate(pairs5) if mask >> b & 1])
                 check(small_host, fresh)
     assert 20 < hits < 100
+
+
+# -- the automorphism-pruned first pass on hosts of more than 16 vertices -----
+
+_PRUNED_EXTRA = ("3P2", "P2+P4", "P6", "co(P1+P4)", "co(2P1+P2)", "2P3", "C6")
+
+
+def _nx(g: Graph) -> nx.Graph:
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    return G
+
+
+def _seeded_big_hosts(seed: int, count: int) -> list[Graph]:
+    """Hosts of 17 to 29 vertices: sparse, dense and middling random graphs,
+    and unions of small random graphs with their complements, so that small
+    patterns are both present and absent."""
+    rng = random.Random(seed)
+    hosts = []
+    for i in range(count):
+        n = rng.randint(17, 27)
+        if i % 3 == 2:
+            parts = []
+            while sum(p.n for p in parts) < n:
+                k = rng.randint(1, 3)
+                parts.append(Graph(k, [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < 0.6]))
+            edges, base = [], 0
+            for p in parts:
+                edges += [(u + base, v + base) for u, v in p.edges]
+                base += p.n
+            g = Graph(base, edges)
+            hosts.append(complement(g) if rng.random() < 0.5 else g)
+        else:
+            density = rng.choice((0.04, 0.08, 0.15, 0.5, 0.85, 0.92, 0.96))
+            hosts.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]))
+    return hosts
+
+
+def test_pruned_search_agrees_with_networkx_on_hosts_over_16_vertices():
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    patterns = nonisomorphic_graphs_upto(5) + [graph_named(x) for x in _PRUNED_EXTRA]
+    found = missing = 0
+    for host in _seeded_big_hosts(41, 9):
+        # networkx is slow on dense hosts, so those are compared through the
+        # complements, which hold exactly the complements of their induced
+        # subgraphs
+        dense = 4 * len(host.edges) > host.n * (host.n - 1)
+        H = _nx(complement(host) if dense else host)
+        for pat in patterns:
+            expected = GraphMatcher(H, _nx(complement(pat) if dense else pat)).subgraph_is_isomorphic()
+            assert has_induced(host, pat) == expected, (host.n, sorted(host.edges), sorted(pat.edges))
+            free, hit = is_free(host, [pat])
+            assert free == (not expected)
+            if hit is not None:
+                assert hit[0] == 0 and hit[1].is_valid(host, pat)
+            found += expected
+            missing += not expected
+    assert found > 100 and missing > 100
+
+
+def test_pruned_first_pass_keeps_the_least_embedding(monkeypatch):
+    from cwkit import patterns as module
+
+    pats = [graph_named(x) for x in _PRUNED_EXTRA + ("paw", "C4", "K1_3", "2P1+P2")]
+    hosts = _seeded_big_hosts(43, 12)
+    pruned = [[contains_induced(host, pat) for pat in pats] for host in hosts]
+    # past every order here, so every search takes the unpruned plan
+    monkeypatch.setattr(module, "CANONICAL_CAP", 1000)
+    hits = 0
+    for host, row in zip(hosts, pruned):
+        for pat, emb in zip(pats, row):
+            assert emb == contains_induced(host, pat)
+            hits += emb is not None
+    assert hits > 20
+
+
+def _pruned_embeddings(host: Graph, pattern: Graph) -> list[tuple[int, ...]]:
+    """Every embedding the pruned plan admits, in the order of its search:
+    the plan's steps, host vertices in increasing order, each step's image
+    above the images of the vertices in its ``below`` entry."""
+    from cwkit.patterns import _pruned
+
+    _, steps, below = _pruned(pattern)
+    out: list[tuple[int, ...]] = []
+    image = [-1] * pattern.n
+
+    def walk(i: int, used: set) -> None:
+        if i == len(steps):
+            out.append(tuple(image))
+            return
+        p, ins, outs = steps[i]
+        for w in range(host.n):
+            if w in used or any(image[q] >= w for q in below[i]):
+                continue
+            if all(host.has_edge(image[q], w) for q in ins) and not any(host.has_edge(image[q], w) for q in outs):
+                image[p] = w
+                walk(i + 1, used | {w})
+
+    walk(0, set())
+    return out
+
+
+def test_pruned_embeddings_times_automorphisms_count_every_embedding():
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    from cwkit.patterns import _first_embedding
+
+    rng = random.Random(47)
+    checked = 0
+    for name in _PRUNED_EXTRA + ("paw", "K1_3", "C4"):
+        pat = graph_named(name)
+        P = _nx(pat)
+        automorphisms = sum(1 for _ in GraphMatcher(P, P).isomorphisms_iter())
+        for density in (0.25, 0.5):
+            n = rng.randint(17, 18)
+            host = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+            every = sum(1 for _ in GraphMatcher(_nx(host), P).subgraph_isomorphisms_iter())
+            pruned = _pruned_embeddings(host, pat)
+            assert len(pruned) * automorphisms == every, name
+            # the first pass stops at the first of them
+            first = _first_embedding(host, pat)
+            assert (first and tuple(first[2])) == (pruned[0] if pruned else None), name
+            checked += every > 0
+    assert checked > 15
+
+
+def test_only_hosts_over_16_vertices_take_the_pruned_plan():
+    from cwkit.patterns import _pruned
+
+    p6 = graph_named("P6")
+    _pruned.cache_clear()
+    for host in ("P6", "C7", "P16", "C16"):
+        assert has_induced(graph_named(host), p6)
+        assert contains_induced(graph_named(host), p6) is not None
+    assert not has_induced(graph_named("K16"), p6)
+    assert _pruned.cache_info().currsize == 0
+    # a pattern of more than 16 vertices never takes it either
+    assert has_induced(graph_named("P40"), graph_named("P17"))
+    assert _pruned.cache_info().currsize == 0
+    assert has_induced(graph_named("P17"), p6)
+    assert _pruned.cache_info().currsize == 1
