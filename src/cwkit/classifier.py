@@ -5,11 +5,11 @@ Four classifiers:
 * ``classify_single``: one forbidden induced subgraph (a dichotomy).
 * ``classify_pair``: two forbidden induced subgraphs.  The pair's equivalence
   class (closed under complementing both graphs and swapping K3 with the paw)
-  is closed out first; the bounded and unbounded rule table is then tested
-  on every member in both orderings, and pairs matching no rule are looked
-  up in the list of thirteen open cases.  The procedure is total.  Its
-  kernel (rule sides, closure, firing, open-case lookup) is shared with the
-  scan.
+  is closed out first; the rule table is then tested on every member in
+  both orderings.  Its Bounded and Unbounded rows come from the literature,
+  and its Open rows are the thirteen listed open cases, each holding on
+  exactly one pair of graphs.  The procedure is total.  Its kernel (rule
+  sides, closure, firing) is shared with the scan.
 * ``classify_relation``: forbidden subgraphs / minors / topological minors
   (three dichotomies on properties of the forbidden family alone).
 * ``classify_colouring``: the colouring complexity table, tested on the pair
@@ -18,15 +18,15 @@ Four classifiers:
 
 Both rule tables run on one engine.  A rule is data: two tuples of string
 tokens, one per position (``<=P4``: an induced subgraph of P4; ``>=K1_3``:
-contains the claw; flags such as ``not-in-S``); the pair rules also read the
-complement's tokens, written with a ``co `` prefix.  A side holds when one
-of its tokens holds.  Each table is compiled once, here, into sides per
-rule and view: a mask of the side's ``>=X`` patterns (each table has one
-pattern list) plus its tokens in written order.  The pair table has an own
-view (the tokens without ``co ``) and a dual view (the ``co `` tokens,
-stripped, decided on the graph as they read when it is the complement); the
-colouring table has one plain view.  One evaluator, ``decide_sides``,
-decides every side.  For a lone graph it decides tokens on demand, in
+contains the claw; ``=2P2``: isomorphic to 2P2; flags such as
+``not-in-S``); the pair rules also read the complement's tokens, written
+with a ``co `` prefix.  A side holds when one of its tokens holds.  Each
+table is compiled once, here, into sides per rule and view: a mask of the
+side's ``>=X`` patterns (each table has one pattern list) plus its tokens
+in written order.  The pair table has an own view (the tokens without
+``co ``) and a dual view (the ``co `` tokens, stripped, decided on the graph
+as they read when it is the complement); the colouring table has one plain
+view.  One evaluator, ``decide_sides``, decides every side.  For a lone graph it decides tokens on demand, in
 written order, and a side stops at its first token that holds, so a costly
 token is decided only where the cheaper ones before it fail.  A graph's
 token cache (``_decided``, bounded, keyed by the graph) keeps the value of
@@ -34,9 +34,10 @@ every token decided on it, so each token is decided at most once per graph
 across views, tables and calls.  A scan level passes each graph's profile,
 its ``>=X`` answers decided for the whole level at once, and a side tests
 that first; that path keeps its tokens in a dict of its own call, so no
-token cache grows with a level.  A ``<=X`` token whose X has fewer vertices
-than the graph is false on both paths, without a search.  ``_holds`` decides
-one token: adding a fact means writing its token in a rule, and a new
+token cache grows with a level.  A ``<=X`` or ``=X`` token whose X has
+fewer vertices than the graph is false on both paths, without a search, and
+``=X`` fails without one on any graph of another order or size.  ``_holds``
+decides one token: adding a fact means writing its token in a rule, and a new
 flag's predicate goes in ``_FLAGS``.  ``cw_facts`` gives the pair table's
 own and dual views of a graph, ``pair_sides`` combines a graph's own view
 with its complement's dual view, and ``colouring_facts`` gives the
@@ -50,9 +51,9 @@ on a tie, the first) and the other graph only where that can matter: its
 left sides for the rules whose right side holds on the first, its right
 sides for those whose left side does.  On ``classify_pair "grid(20)" P3``
 no token is searched on the grid.  The earliest rule in table order that
-fires on the first member to fire gives the verdict; rules of opposite
+fires on the first member to fire gives the verdict; rules of different
 statuses firing together are an internal error that names every fired
-rule.
+rule, and so is a pair class on which no pair rule fires.
 
 The closure of one query keys its graphs by (order, size, degree
 sequence), an invariant of isomorphism, and refines that key by the
@@ -74,7 +75,7 @@ from typing import Callable, Hashable, NamedTuple, Optional, TypeVar
 
 from .errors import InputError, InvariantViolation
 from .graphs import Graph, complement, induced_subgraph, to_graph6
-from .isomorphism import CANONICAL_CAP, canonical_key, is_isomorphic
+from .isomorphism import CANONICAL_CAP, canonical_key
 from .names import format_name, graph_named, recognize
 from .patterns import has_induced, has_induced_cycle_at_least, in_class_S, is_chordal, is_planar
 
@@ -133,7 +134,8 @@ def display_name(g: Graph) -> str:
 # -- facts ------------------------------------------------------------------
 #
 # A fact token is ``<=X`` (the graph is an induced subgraph of X), ``>=X`` (X
-# is an induced subgraph of the graph) or the name of a flag in _FLAGS.
+# is an induced subgraph of the graph), ``=X`` (the graph is isomorphic to X:
+# an induced subgraph of X of X's order) or the name of a flag in _FLAGS.
 
 
 @lru_cache(maxsize=None)
@@ -173,11 +175,7 @@ _FLAGS: dict[str, Callable[[Graph], bool]] = {
     "clique>=4": lambda g: g.n >= 4 and _is_complete(g),
     "at-most-one-edge": lambda g: len(g.edges) <= 1,
     "co-at-most-one-edge": lambda g: g.n * (g.n - 1) // 2 - len(g.edges) <= 1,
-    "is-2P2": lambda g: is_isomorphic(g, _pattern("2P2")),
-    "small-forest-not-K1_5": lambda g: (
-        _is_forest(g) and g.n <= 6 and not is_isomorphic(g, _pattern("K1_5"))
-    ),
-    "is-K1_3+3P1": lambda g: is_isomorphic(g, _pattern("K1_3+3P1")),
+    "small-forest-not-K1_5": lambda g: _is_forest(g) and g.n <= 6 and not _holds("=K1_5", g),
 }
 
 
@@ -187,6 +185,9 @@ def _holds(token: str, g: Graph) -> bool:
         return has_induced(_pattern(token[2:]), g)
     if token.startswith(">="):
         return has_induced(g, _pattern(token[2:]))
+    if token.startswith("="):
+        x = _pattern(token[1:])
+        return g.n == x.n and len(g.edges) == len(x.edges) and has_induced(x, g)
     return _FLAGS[token](g)
 
 
@@ -204,6 +205,22 @@ class Rule:
     citation: str
 
 
+# The thirteen open cases of the paper's main theorem, up to equivalence, as
+# (id, H1, H2); every H2 is written as the complement of a graph.
+_OPEN_TABLE = (
+    ("OPEN1", "3P1", ("P1+P2+P3", "P1+2P2", "P1+P5", "P1+S_1_1_3", "P2+P4", "S_1_2_2", "S_1_2_3")),
+    ("OPEN2", "2P1+P2", ("P1+P2+P3", "P1+2P2", "P1+P5")),
+    ("OPEN3", "P1+P4", ("P1+2P2", "P2+P3")),
+    ("OPEN4", "2P1+P3", ("2P1+P3",)),
+)
+OPEN_CASES: tuple[tuple[str, str, str], ...] = tuple(
+    (f"{case_id}.{t}" if len(h2_complements) > 1 else case_id, h1, f"co({co_h2})")
+    for case_id, h1, h2_complements in _OPEN_TABLE
+    for t, co_h2 in enumerate(h2_complements, start=1)
+)
+
+# The Bounded and Unbounded rows, then one Open row per open case, which
+# holds on exactly that pair of graphs.
 PAIR_RULES: tuple[Rule, ...] = (
     Rule("B1", Status.BOUNDED, ("<=P4",), None,
          "cographs have clique-width at most 2 [CO00]"),
@@ -237,16 +254,10 @@ PAIR_RULES: tuple[Rule, ...] = (
          "complements of H-free bipartite graphs [DP14]"),
     Rule("U7", Status.UNBOUNDED, (">=4P1",), ("co >=P1+P4", "co >=3P1+P2"),
          "simple path encodings [KS12, Sc15] and [DGP14]"),
+) + tuple(
+    Rule(case_id, Status.OPEN, ("=" + h1,), ("=" + h2,), "boundedness open; one of the thirteen listed cases")
+    for case_id, h1, h2 in OPEN_CASES
 )
-
-
-def _status_bits(rules: tuple[Rule, ...], status: Status) -> int:
-    """Bitmask of the rules (bit r is ``rules[r]``) with the given status."""
-    return sum(1 << r for r, rule in enumerate(rules) if rule.status is status)
-
-
-BOUNDED_BITS = _status_bits(PAIR_RULES, Status.BOUNDED)
-UNBOUNDED_BITS = _status_bits(PAIR_RULES, Status.UNBOUNDED)
 
 
 # -- compiled tables ----------------------------------------------------------
@@ -257,17 +268,23 @@ class RuleTable(NamedTuple):
     ``views`` holds the sides that can hold there.  A side is (the rule's
     bit, the pattern bits of its >=X tokens, its tokens in written order,
     those of them that are not >=X); a token is (itself, the largest order
-    of a graph it can hold on).  A side with no tokens always holds."""
+    of a graph it can hold on).  A side with no tokens always holds.
+    ``statuses`` maps each status, in table order, to its rules' bits."""
 
     patterns: tuple[str, ...]  # pattern bit p is the X of the tokens >=X, X = patterns[p]
     views: tuple
+    statuses: dict[Status, int]
 
 
 def _compile(rules: tuple[Rule, ...], views: tuple[Optional[bool], ...]) -> RuleTable:
     """The table's sides, left then right for each view: a view reads the
     ``co `` tokens, stripped (True), the others (False) or every token
-    (None).  An induced subgraph of X has at most as many vertices as X."""
+    (None).  An induced subgraph of X (``<=X``) has at most as many vertices
+    as X, and a graph isomorphic to X (``=X``) has as many."""
     bits: dict[str, int] = {}
+    statuses: dict[Status, int] = {}
+    for r, rule in enumerate(rules):
+        statuses[rule.status] = statuses.get(rule.status, 0) | 1 << r
     compiled = []
     for co in views:
         for at in (0, 1):
@@ -276,11 +293,17 @@ def _compile(rules: tuple[Rule, ...], views: tuple[Optional[bool], ...]) -> Rule
                 side = (rule.left, rule.right)[at]
                 kept = [t.removeprefix("co ") for t in side or () if co is None or t.startswith("co ") == co]
                 if side is None or kept:
-                    tokens = tuple((t, _pattern(t[2:]).n if t.startswith("<=") else inf) for t in kept)
+                    tokens = tuple((t, _pattern(t.lstrip("<=")).n if t[0] in "<=" else inf) for t in kept)
                     mask = sum(bits.setdefault(t[2:], 1 << len(bits)) for t in kept if t.startswith(">="))
                     sides.append((1 << r, mask, tokens, tuple(e for e in tokens if not e[0].startswith(">="))))
             compiled.append(tuple(sides))
-    return RuleTable(tuple(bits), tuple(compiled))
+    return RuleTable(tuple(bits), tuple(compiled), statuses)
+
+
+def fired_statuses(table: RuleTable, fired: int) -> list[Status]:
+    """The statuses of the fired rules (bit r is the table's rule r), in
+    table order; more than one is a conflict."""
+    return [status for status, bits in table.statuses.items() if fired & bits]
 
 
 @lru_cache(maxsize=512)
@@ -325,6 +348,8 @@ def decide_sides(
 
 
 PAIR_TABLE = _compile(PAIR_RULES, (False, True))
+BOUNDED_BITS = PAIR_TABLE.statuses[Status.BOUNDED]
+UNBOUNDED_BITS = PAIR_TABLE.statuses[Status.UNBOUNDED]
 
 
 def cw_facts(g: Graph) -> tuple[int, int, int, int]:
@@ -347,28 +372,6 @@ def colouring_facts(g: Graph, want: Optional[tuple[int, int]] = None) -> tuple[i
     """The colouring rules' left and right side bitmasks on g; with
     ``want``, only the (left, right) sides of the rules it sets."""
     return decide_sides(COLOURING_TABLE, g, want=want)
-
-
-# -- the thirteen open cases ----------------------------------------------
-
-_OPEN_TABLE = (
-    ("OPEN1", "3P1", ("P1+P2+P3", "P1+2P2", "P1+P5", "P1+S_1_1_3", "P2+P4", "S_1_2_2", "S_1_2_3")),
-    ("OPEN2", "2P1+P2", ("P1+P2+P3", "P1+2P2", "P1+P5")),
-    ("OPEN3", "P1+P4", ("P1+2P2", "P2+P3")),
-    ("OPEN4", "2P1+P3", ("2P1+P3",)),
-)
-
-
-def _open_cases() -> tuple[tuple[str, str, str], ...]:
-    out = []
-    for case_id, h1, h2_complements in _OPEN_TABLE:
-        for t, co_h2 in enumerate(h2_complements, start=1):
-            sub = f"{case_id}.{t}" if len(h2_complements) > 1 else case_id
-            out.append((sub, h1, f"co({co_h2})"))
-    return tuple(out)
-
-
-OPEN_CASES: tuple[tuple[str, str, str], ...] = _open_cases()
 
 
 # -- the pair kernel --------------------------------------------------------
@@ -442,25 +445,6 @@ def fire(
             first = (r, a, b) if ab & low else (r, b, a)
         fired |= bits
     return fired, first
-
-
-@lru_cache(maxsize=None)
-def _open_keys() -> dict[tuple, tuple[str, str, str]]:
-    return {
-        _unordered(canonical_key(_pattern(n1)), canonical_key(_pattern(n2))): (case_id, n1, n2)
-        for case_id, n1, n2 in OPEN_CASES
-    }
-
-
-def open_case(members: list[tuple[Node, Node]], key: Callable) -> Optional[tuple[str, str, str]]:
-    """The listed open case equivalent to the class, looked up by the
-    canonical keys ``key`` gives; None if there is none."""
-    table = _open_keys()
-    for a, b in members:
-        case = table.get(_unordered(key(a), key(b)))
-        if case is not None:
-            return case
-    return None
 
 
 # -- the graph side of the kernel -------------------------------------------
@@ -561,21 +545,16 @@ def classify_pair(h1: Graph, h2: Graph) -> Verdict:
 
     members = pair_class(h1, h2, _closure_key(), co, _graph_swap)
     fired, first = fire(members, lambda g, want=None: pair_sides(g, co(g), want), _order)
-    if fired & BOUNDED_BITS and fired & UNBOUNDED_BITS:
+    if len(fired_statuses(PAIR_TABLE, fired)) > 1:
         raise InvariantViolation(
             f"rules {_fired_ids(PAIR_RULES, fired)} fire together on the class of "
             f"({display_name(h1)},{display_name(h2)})-free graphs"
         )
-    if first is not None:
-        return _first_verdict(PAIR_RULES, first)
-    case = open_case(members, _graph_key)
-    if case is not None:
-        case_id, n1, n2 = case
-        return Verdict(Status.OPEN, case_id, (n1, n2), "boundedness open; one of the thirteen listed cases")
-    raise InvariantViolation(
-        f"({display_name(h1)},{display_name(h2)}) matches no rule and no open case; "
-        "the trichotomy should be total"
-    )
+    if first is None:
+        raise InvariantViolation(
+            f"({display_name(h1)},{display_name(h2)}) matches no rule; the trichotomy should be total"
+        )
+    return _first_verdict(PAIR_RULES, first)
 
 
 _RELATIONS = ("subgraph", "minor", "topological-minor")
@@ -643,7 +622,7 @@ COLOURING_RULES: tuple[Rule, ...] = (
          "one side inside P1+P3 or P4"),
     Rule("COL-P2", Status.POLYNOMIAL, ("<=K1_3",), ("<=bull", "<=hammer", "<=P5"),
          "claw-side pairs"),
-    Rule("COL-P3", Status.POLYNOMIAL, ("small-forest-not-K1_5", "is-K1_3+3P1"), ("<=paw",),
+    Rule("COL-P3", Status.POLYNOMIAL, ("small-forest-not-K1_5", "=K1_3+3P1"), ("<=paw",),
          "small forests (not K1_5) or K1_3+3P1 versus the paw"),
     Rule("COL-P4", Status.POLYNOMIAL, ("matching", "isolates-plus-P5-part"), ("clique>=4",),
          "matchings or P5-plus-isolates versus a clique"),
@@ -657,15 +636,13 @@ COLOURING_RULES: tuple[Rule, ...] = (
          "2P1+P2 versus small complements"),
     Rule("COL-P9", Status.POLYNOMIAL, ("<=diamond",), ("<=3P1+P2", "<=2P1+P3"),
          "the diamond versus small linear forests"),
-    Rule("COL-P10", Status.POLYNOMIAL, ("at-most-one-edge", "is-2P2"), ("co-at-most-one-edge",),
+    Rule("COL-P10", Status.POLYNOMIAL, ("at-most-one-edge", "=2P2"), ("co-at-most-one-edge",),
          "near-edgeless versus near-complete"),
     Rule("COL-P11", Status.POLYNOMIAL, ("<=4P1",), ("<=co(2P1+P3)",),
          "4P1 versus co(2P1+P3)"),
     Rule("COL-P12", Status.POLYNOMIAL, ("<=P5",), ("<=C4", "<=co(2P1+P3)"),
          "P5 versus C4 or co(2P1+P3)"),
 )
-NP_COMPLETE_BITS = _status_bits(COLOURING_RULES, Status.NP_COMPLETE)
-POLYNOMIAL_BITS = _status_bits(COLOURING_RULES, Status.POLYNOMIAL)
 COLOURING_TABLE = _compile(COLOURING_RULES, (None,))
 
 
@@ -691,7 +668,7 @@ COLOURING_OPEN_CASES: tuple[tuple[str, str], ...] = (
 def classify_colouring(h1: Graph, h2: Graph) -> Verdict:
     """Colouring complexity for the pair; Unknown when no table row applies."""
     fired, first = fire([(h1, h2)], colouring_facts, _order)
-    if fired & NP_COMPLETE_BITS and fired & POLYNOMIAL_BITS:
+    if len(fired_statuses(COLOURING_TABLE, fired)) > 1:
         raise InvariantViolation(
             f"colouring rules {_fired_ids(COLOURING_RULES, fired)} fire together on "
             f"({display_name(h1)},{display_name(h2)})"

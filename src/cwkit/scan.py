@@ -10,9 +10,9 @@ from its key only for that call and to name an open pair or a conflict; no
 list of graphs is kept.  Each graph's complement id comes with the
 enumeration, which builds the dense half of each level as the complements
 of its sparse half.  The scan doubles as the consistency harness: it
-reports any pair on which a bounded rule and an unbounded rule both fire,
-and any pair that neither matches a rule nor is equivalent to a listed open
-case.
+reports any pair on which rules of different statuses fire (Bounded,
+Unbounded, or one of the Open rows, which are the listed open cases), and
+any pair that matches no rule.
 
 A pair's class is closed under complementing both graphs and under swapping
 K3 with the paw at either position.  The swap acts on one position at a
@@ -39,16 +39,16 @@ with at most 8 vertices), and for classes A and B with signatures
 
 Each unordered pair of classes stands for |A|·|B| unordered pairs of graph
 ids, or s(s+1)/2 when a class of size s is paired with itself; these
-weights, summed per fired bitmask into one histogram, give the Bounded and
-Unbounded counts and every rule's fire count.  Only where no rule fires
-(the open-case lookup) or both statuses fire (the conflicts) are a class
-pair's graph-id pairs listed; sorted, they go through the shared pair kernel
-``classify_pair`` uses (``pair_class``, ``fire`` and ``open_case``).  Over a
-whole class ``fire`` gives the same bits with orbit sides as with a graph's
-own.  Every open line and every conflict therefore comes from that kernel,
-and the class pairs only count.  Each listed pair carries its class pair's
-fired bits, and a kernel that fires other bits on it is reported as a
-conflict, never counted.
+weights, summed per fired bitmask into one histogram, give the Bounded,
+Unbounded and Open counts and every rule's fire count.  Only where Open
+rows fire (the open pairs), no rule fires or statuses mix (the conflicts)
+are a class pair's graph-id pairs listed; sorted, they go through the shared
+pair kernel ``classify_pair`` uses (``pair_class`` and ``fire``), whose first
+fired row names an open pair's case.  Over a whole class ``fire`` gives the
+same bits with orbit sides as with a graph's own.  Every open line and every
+conflict therefore comes from that kernel.  Each listed pair carries its
+class pair's fired bits, and a kernel that fires other bits on it is
+reported as a conflict.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ from itertools import permutations
 from time import perf_counter
 from typing import Iterator, NamedTuple, Sequence
 
-from .classifier import BOUNDED_BITS, PAIR_RULES, PAIR_TABLE, UNBOUNDED_BITS, Status, decide_sides, display_name
-from .classifier import _pattern, fire, open_case, pair_class
+from .classifier import PAIR_RULES, PAIR_TABLE, Status, decide_sides, display_name
+from .classifier import _pattern, fire, fired_statuses, pair_class
 from .enumeration import _complement_ids, _level, canonical_keys_upto
 from .isomorphism import canonical_key, graph_of_key
 from .names import graph_named
@@ -296,36 +296,36 @@ def scan_pairs(max_vertices: int = 7) -> ScanResult:
     conflicts: list[str] = []
     t = perf_counter()
     weights: dict[int, int] = {}  # fired rules -> unordered pairs of graph ids
-    undecided: list[tuple[int, int, int]] = []  # (i, j, the class pair's fired rules)
+    statuses: dict[int, list[Status]] = {}  # fired rules -> their statuses
+    listed: list[tuple[int, int, int]] = []  # (i, j, the class pair's fired rules)
     for ids, group, fired, weight in _class_pairs(cat):
-        weights[fired] = weights.get(fired, 0) + weight
-        if not fired or fired & BOUNDED_BITS and fired & UNBOUNDED_BITS:
-            undecided += [(i, j, fired) for other in group for i, j in _id_pairs(ids, other)]
+        if fired not in weights:
+            weights[fired] = 0
+            statuses[fired] = fired_statuses(PAIR_TABLE, fired)
+        weights[fired] += weight
+        if statuses[fired] not in ([Status.BOUNDED], [Status.UNBOUNDED]):
+            listed += [(i, j, fired) for other in group for i, j in _id_pairs(ids, other)]
     for fired, weight in weights.items():
-        bounded, unbounded = fired & BOUNDED_BITS, fired & UNBOUNDED_BITS
-        if bounded and not unbounded:
-            counts[Status.BOUNDED.value] += weight
-        elif unbounded and not bounded:
-            counts[Status.UNBOUNDED.value] += weight
+        if len(statuses[fired]) == 1:
+            counts[statuses[fired][0].value] += weight
     rule_fires = {
         rule.rule_id: sum(w for fired, w in weights.items() if fired >> r & 1) for r, rule in enumerate(PAIR_RULES)
     }
     clock["kernel"] = perf_counter() - t
     t = perf_counter()
-    for i, j, expected in sorted(undecided):
-        members = cat.pair_class(i, j)
-        fired, _ = fire(members, cat.sides.__getitem__)
+    for i, j, expected in sorted(listed):
+        fired, first = fire(cat.pair_class(i, j), cat.sides.__getitem__)
         if fired != expected:
             conflicts.append(
                 f"the class pairs fire rules {expected:#x} but the pair kernel fires {fired:#x} on ({name(i)}, {name(j)})"
             )
-        elif fired:  # an undecided pair that fires rules fires both statuses
-            conflicts.append(f"bounded and unbounded rules both fire on ({name(i)}, {name(j)})")
-        elif case := open_case(members, cat.keys.__getitem__):
-            counts[Status.OPEN.value] += 1
-            open_pairs.append((name(i), name(j), case[0]))
+        elif first is None:
+            conflicts.append(f"no rule matches ({name(i)}, {name(j)})")
+        elif len(statuses[fired]) > 1:
+            both = " and ".join(status.value.lower() for status in statuses[fired])
+            conflicts.append(f"{both} rules both fire on ({name(i)}, {name(j)})")
         else:
-            conflicts.append(f"no rule and no open case matches ({name(i)}, {name(j)})")
+            open_pairs.append((name(i), name(j), PAIR_RULES[first[0]].rule_id))
     clock["fallback"] = perf_counter() - t
     conflicts.sort()
     total = len(cat.keys) * (len(cat.keys) + 1) // 2

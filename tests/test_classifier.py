@@ -18,6 +18,7 @@ from cwkit.classifier import (
     COLOURING_RULES,
     OPEN_CASES,
     PAIR_RULES,
+    Rule,
     Status,
     classify_colouring,
     classify_pair,
@@ -28,7 +29,6 @@ from cwkit.classifier import (
     cw_facts,
     equivalence_class,
     fire,
-    open_case,
     pair_class,
     pair_sides,
     UNBOUNDED_BITS,
@@ -199,13 +199,27 @@ def test_rule_sides_golden_up_to_seven_vertices():
         graph_named(name) for name in ("P22", "K1_5", "C8", "co(C8)", "co(C6)+P1")
     ]
     lines = []
+    # the digest was recorded before the Open rows; they are pinned below
+    bu = BOUNDED_BITS | UNBOUNDED_BITS
+    open_rows = {r: rule for r, rule in enumerate(PAIR_RULES) if rule.status is Status.OPEN}
+    holds = {(r, at): [] for r in open_rows for at in (0, 1)}
     for g in graphs:
         pl, pr = pair_sides(g, complement(g))
         cl, cr = colouring_facts(g)
-        lines.append(f"{to_graph6(g)} {pl} {pr} {cl} {cr}")
+        lines.append(f"{to_graph6(g)} {pl & bu} {pr & bu} {cl} {cr}")
+        for r in open_rows:
+            for at, side in enumerate((pl, pr)):
+                if side >> r & 1:
+                    holds[r, at].append(g)
     assert len(lines) == 1257
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "2d72c025540c65dadcd86acee1846eb5f2381fc88b1eeaaf3c032e865b07a723"
+    # an Open row's side holds on exactly the graphs isomorphic to its case graph
+    for r, rule in open_rows.items():
+        for at, (token,) in enumerate((rule.left, rule.right)):
+            case_graph = graph_named(token.removeprefix("="))
+            assert holds[r, at] == [g for g in graphs if is_isomorphic(g, case_graph)], (rule.rule_id, at)
+            assert len(holds[r, at]) == 1, (rule.rule_id, at)
     # every token a row reads both holds and fails somewhere in this set; a
     # ``co `` token is decided on the complement
     for table in (PAIR_RULES, COLOURING_RULES):
@@ -307,12 +321,7 @@ def _reference_pair(h1: Graph, h2: Graph) -> tuple:
     members = pair_class(h1, h2, _graph_key, complement, _graph_swap)
     fired, first = fire(members, lambda g: pair_sides(g, complement(g)))
     assert not (fired & BOUNDED_BITS and fired & UNBOUNDED_BITS)
-    if first is not None:
-        line = _first_verdict(PAIR_RULES, first).line()
-    else:
-        case_id, n1, n2 = open_case(members, _graph_key)
-        line = f"status=Open rule={case_id} matched={n1},{n2} cite=boundedness open; one of the thirteen listed cases"
-    return members, fired, first, line
+    return members, fired, first, _first_verdict(PAIR_RULES, first).line()
 
 
 def _reference_colouring_line(h1: Graph, h2: Graph) -> str:
@@ -374,6 +383,37 @@ def test_conflict_errors_list_every_fired_rule(monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         classify_colouring(k3, p4)
     assert str(info.value) == f"colouring rules {ids} fire together on (K3,P4)"
+
+
+def _patch_pair_rules(monkeypatch, rules):
+    import cwkit.classifier as classifier
+    import cwkit.scan as scan
+
+    table = classifier._compile(rules, (False, True))
+    for module in (classifier, scan):
+        monkeypatch.setattr(module, "PAIR_RULES", rules)
+        monkeypatch.setattr(module, "PAIR_TABLE", table)
+    _decided.cache_clear()
+
+
+def test_a_dropped_open_row_leaves_its_case_unmatched(monkeypatch):
+    from cwkit.scan import scan_pairs
+
+    _patch_pair_rules(monkeypatch, tuple(rule for rule in PAIR_RULES if rule.rule_id != "OPEN4"))
+    with pytest.raises(InvariantViolation, match=r"^\(2P1\+P3,co\(2P1\+P3\)\) matches no rule;"):
+        classify_pair(graph_named("2P1+P3"), graph_named("co(2P1+P3)"))
+    result = scan_pairs(5)
+    assert result.conflicts == ["no rule matches (2P1+P3, co(2P1+P3))"]
+    assert "OPEN4" not in {case for _, _, case in result.open_pairs}
+
+
+def test_a_bounded_row_firing_on_an_open_case_is_a_conflict(monkeypatch):
+    extra = Rule("B8", Status.BOUNDED, ("=2P1+P3",), ("=co(2P1+P3)",), "a wrong bound")
+    _patch_pair_rules(monkeypatch, PAIR_RULES + (extra,))
+    with pytest.raises(InvariantViolation) as info:
+        classify_pair(graph_named("2P1+P3"), graph_named("co(2P1+P3)"))
+    assert str(info.value) == "rules OPEN4, B8 fire together on the class of (2P1+P3,co(2P1+P3))-free graphs"
+
 
 def test_relation_fixtures():
     assert classify_relation([graph_named("P4")], "subgraph").status is Status.BOUNDED

@@ -190,7 +190,8 @@ def test_scan_json_keys_and_rule_fires():
 
 
 # sha256 of scan_pairs(m).report() and of as_dict() without phase_seconds,
-# dumped with sorted keys; recorded from the row-at-a-time kernel
+# dumped with sorted keys; recorded from the row-at-a-time kernel, before the
+# Open rows, so their rule_fires keys are dropped (they are pinned below)
 SCAN_GOLDEN = {
     0: ("ff3d89a1980be49639ebdf49282a3ca6152a57752a088269b737e8e6e1986759",
         "73d0932514ed823bdd8bd8345f3ddc60e4dcec50ae2731bb660b9d254974f851"),
@@ -217,11 +218,32 @@ def test_scan_output_golden(m):
     result = scan_pairs(m)
     doc = result.as_dict()
     del doc["phase_seconds"]
+    doc["rule_fires"] = {rule: n for rule, n in doc["rule_fires"].items() if not rule.startswith("OPEN")}
     got = (
         hashlib.sha256(result.report().encode()).hexdigest(),
         hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
     )
     assert got == SCAN_GOLDEN[m]
+
+
+OPEN_FIRES = {
+    5: {"OPEN1.2": 4, "OPEN2.2": 2, "OPEN3.1": 2, "OPEN3.2": 2, "OPEN4": 1},
+    # every case graph has at most 7 vertices, so these are the counts at 8 and 9 too
+    7: {
+        **{f"OPEN1.{t}": 4 for t in range(1, 8)},
+        "OPEN2.1": 2, "OPEN2.2": 2, "OPEN2.3": 2, "OPEN3.1": 2, "OPEN3.2": 2, "OPEN4": 1,
+    },
+}
+
+
+@pytest.mark.parametrize("m", sorted(OPEN_FIRES))
+def test_scan_open_counts_are_the_open_rows_fires(m):
+    # each open pair fires exactly one Open row, so the rows' fire counts
+    # sum to the Open count
+    result = scan_pairs(m)
+    fires = {rule: n for rule, n in result.rule_fires.items() if rule.startswith("OPEN") and n}
+    assert fires == OPEN_FIRES[m]
+    assert sum(fires.values()) == result.counts["Open"]
 
 
 def test_scan_default_output_is_the_report():
