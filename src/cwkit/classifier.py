@@ -26,7 +26,13 @@ side's ``>=X`` patterns (each table has one pattern list) plus its tokens
 in written order.  The pair table has an own view (the tokens without
 ``co ``) and a dual view (the ``co `` tokens, stripped, decided on the graph
 as they read when it is the complement); the colouring table has one plain
-view.  One evaluator, ``decide_sides``, decides every side.  For a lone graph it decides tokens on demand, in
+view.  One evaluator, ``decide_sides``, decides every side, from the
+table's plan for the graph's order: the sides cut to the tokens that can
+hold at that order.  A ``<=X`` token is cut when X has fewer vertices than
+the graph, an ``=X`` token when X has another order, and a side when all
+its tokens are; sides keep table order and tokens written order.  A plan
+is made on first use, and every order past the largest such X (7 vertices)
+shares one.  For a lone graph the evaluator decides tokens on demand, in
 written order, and a side stops at its first token that holds, so a costly
 token is decided only where the cheaper ones before it fail.  A graph's
 token cache (``_decided``, bounded, keyed by the graph) keeps the value of
@@ -34,11 +40,10 @@ every token decided on it, so each token is decided at most once per graph
 across views, tables and calls.  A scan level passes each graph's profile,
 its ``>=X`` answers decided for the whole level at once, and a side tests
 that first; that path keeps its tokens in a dict of its own call, so no
-token cache grows with a level.  A ``<=X`` or ``=X`` token whose X has
-fewer vertices than the graph is false on both paths, without a search, and
-``=X`` fails without one on any graph of another order or size.  ``_holds``
-decides one token: adding a fact means writing its token in a rule, and a new
-flag's predicate goes in ``_FLAGS``.  ``cw_facts`` gives the pair table's
+token cache grows with a level.  An ``=X`` token left in a plan still fails
+without a search on a graph of another size.  ``_holds`` decides one token:
+adding a fact means writing its token in a rule, and a new flag's predicate
+goes in ``_FLAGS``.  ``cw_facts`` gives the pair table's
 own and dual views of a graph, ``pair_sides`` combines a graph's own view
 with its complement's dual view, and ``colouring_facts`` gives the
 colouring table's sides; the last two may be asked for the sides of some
@@ -265,22 +270,36 @@ PAIR_RULES: tuple[Rule, ...] = (
 
 class RuleTable(NamedTuple):
     """A rule table compiled for ``decide_sides``.  Per view and position,
-    ``views`` holds the sides that can hold there.  A side is (the rule's
-    bit, the pattern bits of its >=X tokens, its tokens in written order,
-    those of them that are not >=X); a token is (itself, the largest order
-    of a graph it can hold on).  A side with no tokens always holds.
-    ``statuses`` maps each status, in table order, to its rules' bits."""
+    ``sides`` holds the sides that can hold there.  A side is (the rule's
+    bit, the pattern bits of its >=X tokens, its tokens in written order); a
+    token is (itself, the least and the largest order of a graph it can hold
+    on).  A side with no tokens always holds.  ``plans[n]`` is the plan for
+    graphs of order n, made on first use (see ``_plan``); the last plan
+    serves every larger order.  ``statuses`` maps each status, in table
+    order, to its rules' bits."""
 
     patterns: tuple[str, ...]  # pattern bit p is the X of the tokens >=X, X = patterns[p]
-    views: tuple
+    sides: tuple
+    plans: list
     statuses: dict[Status, int]
+
+
+def _orders(token: str) -> tuple[int, float]:
+    """The least and the largest order of a graph the token can hold on: an
+    induced subgraph of X (``<=X``) has at most as many vertices as X, and a
+    graph isomorphic to X (``=X``) has as many."""
+    if token.startswith("<="):
+        return 0, _pattern(token[2:]).n
+    if token.startswith("="):
+        n = _pattern(token[1:]).n
+        return n, n
+    return 0, inf
 
 
 def _compile(rules: tuple[Rule, ...], views: tuple[Optional[bool], ...]) -> RuleTable:
     """The table's sides, left then right for each view: a view reads the
     ``co `` tokens, stripped (True), the others (False) or every token
-    (None).  An induced subgraph of X (``<=X``) has at most as many vertices
-    as X, and a graph isomorphic to X (``=X``) has as many."""
+    (None)."""
     bits: dict[str, int] = {}
     statuses: dict[Status, int] = {}
     for r, rule in enumerate(rules):
@@ -293,11 +312,33 @@ def _compile(rules: tuple[Rule, ...], views: tuple[Optional[bool], ...]) -> Rule
                 side = (rule.left, rule.right)[at]
                 kept = [t.removeprefix("co ") for t in side or () if co is None or t.startswith("co ") == co]
                 if side is None or kept:
-                    tokens = tuple((t, _pattern(t.lstrip("<=")).n if t[0] in "<=" else inf) for t in kept)
                     mask = sum(bits.setdefault(t[2:], 1 << len(bits)) for t in kept if t.startswith(">="))
-                    sides.append((1 << r, mask, tokens, tuple(e for e in tokens if not e[0].startswith(">="))))
+                    sides.append((1 << r, mask, tuple((t, *_orders(t)) for t in kept)))
             compiled.append(tuple(sides))
-    return RuleTable(tuple(bits), tuple(compiled), statuses)
+    top = max((hi for sides in compiled for _, _, tokens in sides for _, _, hi in tokens if hi < inf), default=0)
+    return RuleTable(tuple(bits), tuple(compiled), [None] * (top + 2), statuses)
+
+
+def _plan(table: RuleTable, n: int) -> tuple:
+    """The table's sides that can hold on a graph of order n, per view and
+    position.  A token whose orders exclude n is dropped, and so is a side
+    whose every token is; sides keep table order and tokens written order.
+    A side is (the rule's bit, the pattern bits of its >=X tokens, its
+    tokens, those of them that are not >=X).  Every order past the largest
+    order of a ``<=X`` or ``=X`` token shares one plan."""
+    n = min(n, len(table.plans) - 1)
+    plan = table.plans[n]
+    if plan is None:
+        plan = []
+        for sides in table.sides:
+            kept = []
+            for bit, mask, tokens in sides:
+                cut = tuple(t for t, lo, hi in tokens if lo <= n <= hi)
+                if cut or not tokens:
+                    kept.append((bit, mask, cut, tuple(t for t in cut if not t.startswith(">="))))
+            plan.append(tuple(kept))
+        plan = table.plans[n] = tuple(plan)
+    return plan
 
 
 def fired_statuses(table: RuleTable, fired: int) -> list[Status]:
@@ -316,9 +357,10 @@ def decide_sides(
     table: RuleTable, g: Graph, profile: Optional[int] = None, want: Optional[tuple[int, ...]] = None
 ) -> tuple[int, ...]:
     """The bitmasks of the rules whose side holds on g, per view and
-    position, each token decided at most once.  With ``want`` (a bitmask per
-    view and position) only the sides of the wanted rules are decided, and
-    the others read as not holding.  Without ``profile`` a side decides its
+    position, from the table's plan for g's order (``_plan``), each token
+    decided at most once.  With ``want`` (a bitmask per view and position)
+    only the sides of the wanted rules are decided, and the others read as
+    not holding.  Without ``profile`` a side decides its
     tokens in written order, through g's token cache, and stops at the
     first that holds.  With it (bit p set when g contains pattern p, as a
     scan level reads it) a side tests the profile first and searches none
@@ -326,7 +368,7 @@ def decide_sides(
     read = profile is not None
     decided = {} if read else _decided(g)
     out = []
-    for v, sides in enumerate(table.views):
+    for v, sides in enumerate(_plan(table, g.n)):
         need = -1 if want is None else want[v]
         bits = 0
         for bit, mask, tokens, others in sides if need else ():
@@ -335,9 +377,7 @@ def decide_sides(
             if not tokens or read and profile & mask:
                 bits |= bit
                 continue
-            for token, top in others if read else tokens:
-                if g.n > top:
-                    continue
+            for token in others if read else tokens:
                 if token not in decided:
                     decided[token] = _holds(token, g)
                 if decided[token]:

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
 from time import perf_counter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -165,24 +164,46 @@ def _id_pairs(ids: list[int], other: list[int]) -> list[tuple[int, int]]:
 # order of some labelling of X, so the profile is exactly has_induced(g, X).
 
 
+def _grow_codes(node: list, adj: tuple[int, ...], lower: list[int], placed: list[int], free: int, bit: int) -> None:
+    """Put under ``node`` the codes of the labellings of the pattern with
+    neighbourhood masks ``adj`` that start with ``placed``, the vertices of
+    ``free`` still to come, and set the pattern's ``bit`` at each end.  A
+    vertex w is not placed next while one of its lower twins, ``lower[w]``,
+    is free."""
+    if not free:
+        node[2] |= bit
+        return
+    for w in range(len(adj)):
+        if free >> w & 1 and not lower[w] & free:
+            child = node
+            for u in placed:
+                edge = adj[u] >> w & 1
+                if child[edge] is None:
+                    child[edge] = [None, None, 0]
+                child = child[edge]
+            _grow_codes(child, adj, lower, placed + [w], free ^ 1 << w, bit)
+
+
 @lru_cache(maxsize=None)
 def _code_trie() -> tuple[list, int]:
     """(root, the patterns' largest order).  A node is [child on a non-edge,
-    child on an edge, the profile bits of the patterns its code names]."""
+    child on an edge, the profile bits of the patterns its code names].
+
+    Each pattern's labellings grow one vertex at a time, depth first, so
+    labellings that share a prefix share its nodes.  A vertex w is skipped
+    while a twin u < w of it (N(u) - w = N(w) - u) is still unplaced:
+    swapping u and w is then an automorphism that fixes every placed
+    vertex, so placing w next gives the codes that placing u next gives.
+    The trie is the one all n! labellings give, from far fewer."""
     root: list = [None, None, 0]
     top = 0
     for p, name in enumerate(PAIR_TABLE.patterns):
-        x = _pattern(name)
-        top = max(top, x.n)
-        for perm in permutations(range(x.n)):
-            node = root
-            for b in range(1, x.n):
-                for a in range(b):
-                    bit = x.adj[perm[a]] >> perm[b] & 1
-                    if node[bit] is None:
-                        node[bit] = [None, None, 0]
-                    node = node[bit]
-            node[2] |= 1 << p
+        adj = _pattern(name).adj
+        top = max(top, len(adj))
+        lower = [
+            sum(1 << u for u in range(w) if adj[u] & ~(1 << w) == adj[w] & ~(1 << u)) for w in range(len(adj))
+        ]
+        _grow_codes(root, adj, lower, [], (1 << len(adj)) - 1, 1 << p)
     return root, top
 
 

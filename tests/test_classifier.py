@@ -16,8 +16,10 @@ from cwkit.classifier import (
     BOUNDED_BITS,
     COLOURING_OPEN_CASES,
     COLOURING_RULES,
+    COLOURING_TABLE,
     OPEN_CASES,
     PAIR_RULES,
+    PAIR_TABLE,
     Rule,
     Status,
     classify_colouring,
@@ -27,17 +29,19 @@ from cwkit.classifier import (
     display_name,
     colouring_facts,
     cw_facts,
+    decide_sides,
     equivalence_class,
     fire,
     pair_class,
     pair_sides,
     UNBOUNDED_BITS,
 )
-from cwkit.enumeration import nonisomorphic_graphs_upto
+from cwkit.enumeration import _level, nonisomorphic_graphs_upto
 from cwkit.errors import InputError, InvariantViolation
 from cwkit.graphs import Graph, complement, from_graph6, to_graph6
-from cwkit.isomorphism import is_isomorphic
+from cwkit.isomorphism import canonical_key, graph_of_key, is_isomorphic
 from cwkit.names import graph_named
+from cwkit.scan import _profiles
 
 
 def test_single_dichotomy():
@@ -277,6 +281,98 @@ def test_pair_side_stops_at_the_first_token_that_holds(monkeypatch):
     own_left, _, _, dual_right = cw_facts(g)
     assert own_left & u3 and dual_right & u3
     assert search(g, two_p2)
+
+
+def _every_token_walked(rules: tuple[Rule, ...], views: tuple, g: Graph) -> tuple[int, ...]:
+    # decide_sides without a plan: every side of every view, each token
+    # decided by _holds whatever the graph's order
+    out = []
+    for co in views:
+        for at in (0, 1):
+            bits = 0
+            for r, rule in enumerate(rules):
+                side = (rule.left, rule.right)[at]
+                tokens = [t.removeprefix("co ") for t in side or () if co is None or t.startswith("co ") == co]
+                if side is None or any(_holds(t, g) for t in tokens):
+                    bits |= 1 << r
+            out.append(bits)
+    return tuple(out)
+
+
+def _random_graphs(n: int, count: int, seed: int) -> list[Graph]:
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        p = rng.random()
+        graphs.append(Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]))
+    return graphs
+
+
+def test_plans_match_the_unplanned_walk():
+    # a plan keeps only the sides and tokens that can hold at the graph's
+    # order; every order from 0 to past the largest <=X and =X order is met
+    graphs = [from_graph6("?")] + frozen_graphs() + [
+        graph_named(name) for name in ("P22", "K1_5", "C8", "co(C8)", "co(C6)+P1")
+    ] + _random_graphs(8, 600, 30)
+    rng = random.Random(30)
+    tables = ((PAIR_TABLE, PAIR_RULES, (False, True)), (COLOURING_TABLE, COLOURING_RULES, (None,)))
+    _decided.cache_clear()
+    for g in graphs:
+        for table, rules, views in tables:
+            walked = _every_token_walked(rules, views, g)
+            assert decide_sides(table, g) == walked, (to_graph6(g), rules[0].rule_id)
+            for _ in range(3):
+                want = tuple(rng.getrandbits(len(rules)) for _ in walked)
+                got = decide_sides(table, g, want=want)
+                assert got == tuple(w & m for w, m in zip(walked, want)), (to_graph6(g), want)
+    # the profile path, on the level profiles; at 8 vertices, on the
+    # seeded graphs above
+    eight = [canonical_key(g) for g in graphs if g.n == 8]
+    for keys in [_level(n) for n in range(1, 8)] + [eight]:
+        n = keys[0][0]
+        profiles = _profiles(keys, n)
+        for i, key in enumerate(keys):
+            g = graph_of_key(key)
+            profile = sum((profiles[p] >> i & 1) << p for p in range(len(profiles)))
+            walked = _every_token_walked(PAIR_RULES, (False, True), g)
+            assert decide_sides(PAIR_TABLE, g, profile) == walked, key
+            want = tuple(rng.getrandbits(len(PAIR_RULES)) for _ in walked)
+            got = decide_sides(PAIR_TABLE, g, profile, want)
+            assert got == tuple(w & m for w, m in zip(walked, want)), (key, want)
+
+
+def test_the_plan_decides_no_token_at_an_order_it_cannot_hold_at(monkeypatch):
+    # a <=X token is never decided on a graph with more vertices than X,
+    # nor an =X token on a graph of another order; only the tokens the
+    # evaluator decides are recorded, not those a flag decides inside
+    import cwkit.classifier as classifier
+
+    holds, decided, depth = classifier._holds, set(), [0]
+
+    def recorded(token, g):
+        if not depth[0]:
+            decided.add((token, g.n))
+        depth[0] += 1
+        try:
+            return holds(token, g)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(classifier, "_holds", recorded)
+    _decided.cache_clear()
+    graphs = nonisomorphic_graphs_upto(5)
+    for a in graphs:
+        for b in graphs:
+            classify_pair(a, b)
+            classify_colouring(a, b)
+    classify_pair(graph_named("grid(14)"), graph_named("P3"))
+    larger = {(t, n) for t, n in decided if t.startswith("<=") and n > graph_named(t[2:]).n}
+    other = {(t, n) for t, n in decided if t[0] == "=" and n != graph_named(t[1:]).n}
+    assert not larger
+    assert not other
+    # both kinds were decided where they can hold
+    assert any(t.startswith("<=") for t, _ in decided)
+    assert any(t[0] == "=" for t, _ in decided)
 
 
 def test_pair_decides_a_large_graph_only_where_the_small_one_can_fire(monkeypatch):

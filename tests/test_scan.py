@@ -16,7 +16,7 @@ from cwkit.isomorphism import canonical_key, graph_of_key
 from cwkit.names import graph_named
 from cwkit.patterns import has_induced
 from cwkit.scan import PHASES, _catalogue, _class_pairs, _id_pairs, _level_sides
-from cwkit.scan import _profiles, scan_pairs
+from cwkit.scan import _code_trie, _profiles, scan_pairs
 
 
 def test_scan_cross_checks_the_pairwise_classifier():
@@ -138,6 +138,43 @@ def test_profiles_find_every_labelling_of_every_pattern():
         for i, g in enumerate(copies):
             assert graph_of_key(_key_of(g)) == g
             assert [profile >> i & 1 for profile in profiles] == [has_induced(g, y) for y in patterns], g
+
+
+def _permutation_trie() -> list:
+    # the trie of the codes of all n! labellings of every pattern, one
+    # permutation at a time, in the node form of _code_trie
+    root = [None, None, 0]
+    for p, name in enumerate(PAIR_TABLE.patterns):
+        x = graph_named(name)
+        for perm in permutations(range(x.n)):
+            node = root
+            for b in range(1, x.n):
+                for a in range(b):
+                    bit = x.adj[perm[a]] >> perm[b] & 1
+                    if node[bit] is None:
+                        node[bit] = [None, None, 0]
+                    node = node[bit]
+            node[2] |= 1 << p
+    return root
+
+
+def _trie_nodes(node: list, code: str = ""):
+    # (code, pattern bits) of every node, depth first, non-edge child first
+    yield code, node[2]
+    for bit in (0, 1):
+        if node[bit] is not None:
+            yield from _trie_nodes(node[bit], code + str(bit))
+
+
+def test_code_trie_is_the_permutation_trie():
+    # the twin cut places fewer labellings but must build the same trie:
+    # the same nodes, naming the same patterns
+    root, top = _code_trie()
+    nodes = list(_trie_nodes(_permutation_trie()))
+    assert list(_trie_nodes(root)) == nodes
+    assert len(nodes) == 3701
+    assert sum(1 for _, bits in nodes if bits) == 971
+    assert top == max(graph_named(name).n for name in PAIR_TABLE.patterns) == 6
 
 
 def test_catalogue_sides_are_the_pair_sides():
