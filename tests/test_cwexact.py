@@ -144,6 +144,16 @@ def test_width_distribution_seven_vertices():
     assert dict(dist) == {1: 1, 2: 179, 3: 810, 4: 54}
 
 
+def test_widths_golden_up_to_seven_vertices():
+    # Only the widths, one line each, recorded before each prime quotient's
+    # search was closed from above by the linear-width bound: witnesses may
+    # change with the search, widths never.
+    lines = [str(k) for _, k, _ in _sweep_upto_seven()]
+    assert len(lines) == 1252
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "6c1097f5c019059564c92169fd1a83933b7f9fd49ba5c2d6c8076ed7d470f097"
+
+
 def test_witnesses_golden_up_to_seven_vertices():
     # Recorded before the closure of one subset became one flat loop; any
     # change to the states explored, or to the order they are pushed in,
