@@ -1,5 +1,6 @@
 """Exact clique-width for small graphs: a modular decomposition, then an
-exhaustive search over build states on each prime quotient.
+exhaustive search over build states on each prime quotient, closed from
+above by the quotient's linear-width bound.
 
 Clique-width is the largest width that a node of the graph's modular
 decomposition needs for its quotient (Courcelle–Olariu 2000).  A vertex set
@@ -56,7 +57,8 @@ Four sound reductions keep the space small:
 * the outside-neighbourhood bound: no alive class has a vertex of
   ``split[c]`` outside the settled part, so a class's vertices share their
   neighbourhood outside it, and a settled set whose vertices have more than
-  k distinct outside neighbourhoods has no state; it is skipped.
+  k distinct outside neighbourhoods (``_Tables.out``) has no state; it is
+  skipped.
 
 ``tests/test_cwexact.py`` checks all four against an unpruned search, and
 the decomposition against the search on the whole graph.
@@ -70,10 +72,19 @@ complete before it is read.
 
 The width is decided in one bottom-up walk of the tree (``_build``), which
 keeps the largest width needed so far: one at a leaf or parallel node, two
-at a series node.  A prime node searches its quotient at that width, but
-never below 3 (the quotient induces P4) or below the first budget tried,
-then one label more until a search succeeds; that budget is the width it
-needs.  Each search reads per-subset bitmask tables of the quotient
+at a series node.  A prime node first takes its quotient's linear-width
+bound u (``_linear_bound``): the least width of a build that adds the
+vertices one at a time, each on a label of its own, over all vertex orders,
+from a subset DP that reads
+the same outside-neighbourhood counts as the search.  Then it searches its
+quotient at the width needed so far, but never below 3 (the quotient
+induces P4) or below the first budget tried, one label more each time,
+but only below u.  The first search that succeeds gives the width the node
+needs and its witness.  When none does, the width is u and the witness is
+the linear build along the DP's order (``_linear_witness``): no search runs
+at u, and none at all when u is at most the first budget.  When u is past
+the last budget, every budget is searched and the node fails if none
+succeeds.  Each search reads per-subset bitmask tables of the quotient
 (``_Tables``), built once per node, so each test on a class is one or two
 ANDs.  ``cliquewidth`` walks with the budgets 1..n and
 ``cliquewidth_at_most`` with its one budget k.  A prime node with more than
@@ -82,9 +93,10 @@ built, before any table is allocated, whatever ``max_vertices`` allows;
 ``max_vertices`` caps the whole graph.  One search that would hold more than
 ``STATE_CAP`` states raises ``CapacityError`` too.  The states are counted
 as each settled set's loop runs, not in ``admit``: one set can hold most of
-them (the 14-vertex graph ``MhZcxlIigyy`Fmw}_`` in graph6 holds 144,000
-states before its last set at 7 labels, and that set alone ran past 2
-million and out of 1 GiB).
+them (a search of the 14-vertex graph ``MhZcxlIigyy`Fmw}_`` in graph6 at 7
+labels holds 144,000 states before its last set, and that set alone ran
+past 2 million and out of 1 GiB; the bound now gives that graph width 7
+with no search at 7).
 """
 
 from __future__ import annotations
@@ -105,6 +117,8 @@ TABLE_CAP = 16
 # The most build states one search (one prime quotient at one label budget)
 # may hold, over all its vertex sets.  A state and its record take some 400
 # bytes, so a search stays under about half a GiB.  No argument lifts it.
+# The circulant C15(1, 4), ``NhdHGcH@GCoHOHGCq@G`` in graph6, has bound 8
+# and reaches it at 7 labels.
 STATE_CAP = 1_000_000
 
 
@@ -121,6 +135,10 @@ class _Tables:
       S is a class and such an edge u-x is missing, building it needs a join
       of x's class with S, which reaches a vertex of S that is not adjacent
       to x (or x lies in S itself): the state is dead.
+    * ``out[S]``: the number of distinct outside neighbourhoods N(v) - S
+      over the vertices v of S.  A state on the settled set S needs a class
+      for each, and a linear build that adds a vertex to S needs one label
+      more; the search and ``_linear_bound`` both read it.
     * ``by_size[s]``: the vertex sets of size s in increasing order.
     """
 
@@ -150,6 +168,8 @@ class _Tables:
             ein[s | x] & ~(ein[s & ~x] | ein[x & ~s]) for s, x in enumerate(split)
         ]
         self.cn, self.split, self.ein = cn, split, ein
+        adj = g.adj
+        self.out = [0] + [len({adj[v] & ~s for v in _bits(s)}) for s in range(1, size)]
         self.by_size: list[list[int]] = [[] for _ in range(n + 1)]
         for s in range(1, size):
             self.by_size[s.bit_count()].append(s)
@@ -182,8 +202,7 @@ class _Search:
         outside = self.full & ~placed
         # A class's vertices share their outside neighbourhood, so a state
         # here needs a class for each distinct one.
-        adj = t.g.adj
-        if len({adj[v] & outside for v in _bits(placed)}) > k:
+        if t.out[placed] > k:
             reach[placed] = {}
             return
         states: dict[tuple, tuple] = {}
@@ -338,6 +357,78 @@ class _Search:
         return expr
 
 
+def _linear_bound(t: _Tables) -> tuple[int, list[int]]:
+    """(u, order): the least width u of a linear build of t's graph, and a
+    vertex order whose build has width u.
+
+    A linear build adds the vertices one at a time, each on a label of its
+    own, and merges the labels of vertices that no longer differ.  Before v
+    joins the
+    placed set T, T's vertices need a label for each distinct outside
+    neighbourhood (``t.out[T]``) and v one more.  So f(T), the least width
+    of placing T first in any order, has f(T + v) = min over v of
+    max(f(T), out[T] + 1): a subset DP in O(2^n n) steps (the ordering DP of
+    Bodlaender, Fomin, Koster, Kratsch and Thilikos 2012).  ``step[T]`` is
+    max(f(T), out[T] + 1), the width a build of T needs once it adds a
+    vertex.  On ties the least vertex is added last, so the order is fixed.
+    u is the width of a linear expression, so it bounds the graph's linear
+    clique-width (Heggernes, Meister and Papadopoulos 2011) and clique-width
+    from above; it is one more than both on an edgeless graph of two or
+    more vertices, whose new vertices could share a label.
+    """
+    full = (1 << t.g.n) - 1
+    out = t.out
+    step = [1] * (full + 1)
+    last = [0] * (full + 1)
+    for s in range(1, full + 1):
+        vs = _bits(s)
+        widths = [step[s ^ (1 << v)] for v in vs]
+        least = min(widths)
+        last[s] = vs[widths.index(least)]
+        step[s] = max(least, out[s] + 1)
+    order = []
+    s = full
+    while s:
+        order.append(last[s])
+        s ^= 1 << last[s]
+    order.reverse()
+    return least, order
+
+
+def _linear_witness(g: Graph, order: list[int], leaves: list[tuple[CwExpr, int]]) -> CwExpr:
+    """The linear build of g along ``order``, with each vertex v's module
+    expression ``leaves[v]`` relabelled to the label v is created with.
+
+    v is created on the least free label and joined to every class whose
+    outside neighbourhood holds it; then the classes whose outside
+    neighbourhoods became equal merge onto the least of their labels.  The
+    labels in use never pass the bound of ``_linear_bound`` for this order,
+    and every vertex ends on label 1.
+    """
+    labels: dict[int, int] = {}  # a class's outside neighbourhood -> its label
+    placed = 0
+    expr: Optional[CwExpr] = None
+    for v in order:
+        fresh = 1
+        while fresh in labels.values():
+            fresh += 1
+        leaf = _relabel(leaves[v], fresh)
+        expr = leaf if expr is None else Union(expr, leaf)
+        classes = sorted((label, nbrs) for nbrs, label in labels.items())
+        for label, nbrs in classes:
+            if nbrs >> v & 1:
+                expr = Join(label, fresh, expr)
+        placed |= 1 << v
+        labels = {}
+        for label, nbrs in sorted(classes + [(fresh, g.adj[v])]):
+            nbrs &= ~placed
+            if nbrs in labels:
+                expr = Rename(label, labels[nbrs], expr)
+            else:
+                labels[nbrs] = label
+    return expr
+
+
 def _grow(adj, whole: int, group: tuple[int, int, int], w: int, forbidden: int) -> Optional[tuple[int, int, int]]:
     """Grow ``group`` by vertex w to the least module of the graph induced by
     ``whole`` that holds both, or None once that module meets ``forbidden``
@@ -480,7 +571,8 @@ def _build(g: Graph, names: list[str], budgets: range) -> Optional[tuple[int, Cw
     ``need`` is the largest width a node walked so far needs.  Starting each
     prime search there, and not at 3, reaches a quotient at the budget the
     whole graph has reached, so a quotient that needs less than an earlier
-    one is searched once.
+    one is searched once.  No quotient is searched at or past its
+    linear-width bound, whose witness stands in for that search.
     """
     nodes = _decompose(g)
     need = 1
@@ -513,13 +605,19 @@ def _build(g: Graph, names: list[str], budgets: range) -> Optional[tuple[int, Cw
             if not tries:
                 return None
             tables = _Tables(payload)
-            for need in tries:
+            bound, order = _linear_bound(tables)
+            # the quotient fits in ``bound`` labels, so only the budgets
+            # below it are searched; once they fail, the width is ``bound``
+            for need in range(tries.start, min(bound, tries.stop)):
                 search = _Search(tables, need)
                 if search.run():
+                    built[i] = (search.witness(parts), len(search.accept[0]))
                     break
             else:
-                return None
-            built[i] = (search.witness(parts), len(search.accept[0]))
+                if bound >= tries.stop:
+                    return None
+                need = max(tries.start, bound)
+                built[i] = (_linear_witness(payload, order, parts), 1)
         for c in kids:
             built[c] = None
     return need, built[0][0]

@@ -6,14 +6,15 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import frozen_graphs
-from cwkit.cwexact import _Search, _Tables, cliquewidth, cliquewidth_at_most
-from cwkit.cwexpr import eval_cwexpr, format_cwexpr, width
+from cwkit.cwexact import _Search, _Tables, _linear_bound, _linear_witness, _verified, cliquewidth, cliquewidth_at_most
+from cwkit.cwexpr import Create, Union, eval_cwexpr, format_cwexpr, width
 from cwkit.enumeration import nonisomorphic_graphs_upto
 from cwkit.errors import CapacityError, InputError
-from cwkit.graphs import Graph, complement, induced_subgraph
+from cwkit.graphs import Graph, complement, from_graph6, induced_subgraph
 from cwkit.isomorphism import canonical_key, is_isomorphic
 from cwkit.names import graph_named
 from cwkit.patterns import contains_induced
+from cwkit.witnesses import FAMILIES
 
 
 def test_path4_is_three():
@@ -155,13 +156,15 @@ def test_widths_golden_up_to_seven_vertices():
 
 
 def test_witnesses_golden_up_to_seven_vertices():
-    # Recorded before the closure of one subset became one flat loop; any
-    # change to the states explored, or to the order they are pushed in,
+    # Re-recorded when each prime quotient's search was closed from above
+    # by the linear-width bound, whose own witness now builds every quotient
+    # that no search below the bound builds; any change to the states
+    # explored, to the order they are pushed in, or to the bound's order
     # changes some witness.
     lines = [f"{k} {witness}" for _, k, witness in _sweep_upto_seven()]
     assert len(lines) == 1252
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "efb9fb2ec0d843463c9697f5b925a7b05d1508c2247f21cefc335c1c413cbe57"
+    assert digest == "f04c90d00e6e05450cdaaa013ce9c1f6b0ba9acbb45d2930a0a64380534e0432"
 
 
 def test_trees_need_at_most_three_labels():
@@ -232,12 +235,11 @@ def _is_prime(g: Graph) -> bool:
 
 
 def test_witnesses_golden_up_to_six_vertices():
-    # Recorded when the search moved onto the prime quotients of the modular
-    # decomposition.  A prime graph is searched as itself, so the lines of
-    # the 31 prime graphs with 4 to 6 vertices are the ones recorded before
-    # that, when the search ran on every connected graph whole; any change to
-    # the states explored, or to the order they are pushed in, changes some
-    # of them.
+    # Re-recorded, as the digest above, when each prime quotient's search
+    # was closed from above by the linear-width bound.  A prime graph is its
+    # own quotient, so the lines of the 31 prime graphs with 4 to 6 vertices
+    # pin the search and the bound on whole graphs, and the other lines pin
+    # how the modules' expressions are emitted into them.
     lines, prime = [], []
     for g in frozen_graphs(208):  # the graphs with at most 6 vertices
         k, expr = cliquewidth(g)
@@ -246,9 +248,9 @@ def test_witnesses_golden_up_to_six_vertices():
             prime.append(lines[-1])
     assert len(lines) == 208 and len(prime) == 31
     digest = hashlib.sha256("\n".join(prime).encode()).hexdigest()
-    assert digest == "c71c94238c5932521ebd72aea0348c02388615910a78fa3715ce5230b604df4e"
+    assert digest == "97e6590bd3c102fea4d6c3736321eb271f7e5920a58fc5f2ad38c9ae575b5d33"
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "efa477a4eb802a11b63e6a6bd55f998e3aa9942f3b8e7280bb376151ff2de01a"
+    assert digest == "061b86e04f09f1819c585e23eeaa72d524e9d74efe71963bdbafb43952a14d26"
 
 
 def _reference_at_most(g: Graph, k: int) -> bool:
@@ -352,7 +354,8 @@ def _substituted(outer: Graph, inner: Graph) -> Graph:
 
 
 # The witnesses' sha256 digests were recorded while a second pass still
-# substituted each module's expression into its quotient's expression.
+# substituted each module's expression into its quotient's expression; that
+# of P4[C5] was re-recorded when P4's bound, 3, became its witness.
 @pytest.mark.parametrize(
     "g,value,digest",
     [
@@ -365,7 +368,7 @@ def _substituted(outer: Graph, inner: Graph) -> Graph:
         (
             _substituted(graph_named("P4"), graph_named("C5")),
             3,
-            "e55d91a3c8cf72802dd8b981453f14ab38272f8a680b8b12516725b210b6cd6b",
+            "d5447754865bb565d56850e9f2be426231a99bb71e3d5e8beb15763f2aa65a7f",
         ),
     ],
     ids=["C5[K4]", "co(4K5)", "P4[C5]"],
@@ -434,6 +437,75 @@ def test_heredity_and_complement_bounds_up_to_seven_vertices():
             assert value[canonical_key(smaller)] <= k, (g, v)
 
 
+def test_linear_bound_up_to_seven_vertices():
+    # The bound is the width of a linear build, so it is at least cw, and
+    # its own witness rebuilds the graph on exactly that many labels.  Run
+    # on each whole graph (not on its quotients), it equals cw on 856 of the
+    # 1,252, as first measured: all 55 of width 4, 680 of the 910 of width 3
+    # and 120 of the 280 of width 2.  It is never more than one past cw, and
+    # only the one-vertex graph has bound 1: a linear build gives each new
+    # vertex a label of its own, so the edgeless graphs need two.
+    from collections import Counter
+
+    pairs = Counter()
+    for g, k, _ in _sweep_upto_seven():
+        bound, order = _linear_bound(_Tables(g))
+        names = [str(v) for v in range(g.n)]
+        witness = _linear_witness(g, order, [(Create(1, name), 1) for name in names])
+        assert width(_verified(g, names, bound, witness)) == bound, g
+        pairs[k, bound] += 1
+    assert dict(pairs) == {(1, 1): 1, (1, 2): 6, (2, 2): 120, (2, 3): 160, (3, 3): 680, (3, 4): 230, (4, 4): 55}
+
+
+@pytest.mark.parametrize("family,param", [("thm5G", 3), ("thm4G", 2), ("thm4H", 2)])
+def test_smallest_witness_family_members(family, param):
+    # prime graphs of 15 and 16 vertices with linear-width bound 5: the
+    # searches at 3 and 4 labels fail, so the bound is the width
+    g = FAMILIES[family].build(param)[0]
+    k, witness = cliquewidth(g, max_vertices=g.n)
+    assert k == 5 and width(witness) == 5
+
+
+@pytest.mark.parametrize("g6", ["MhZcxlIigyy`Fmw}_", "NTB[RsQwvd\\[{XuPzCG", "O}nQLzKNdT}WNcVNnFy[^"])
+def test_prime_graphs_of_width_seven(g6):
+    # a 14-vertex graph and two seeded G(n, 1/2) of 15 and 16 vertices, all
+    # prime with linear-width bound 7: the searches at 3 to 6 labels fail,
+    # and no search at 7 labels runs (at 7 the first passes STATE_CAP)
+    g = from_graph6(g6)
+    k, witness = cliquewidth(g, max_vertices=g.n)
+    assert k == 7 and width(witness) == 7
+
+
+def _union_operands(expr) -> list:
+    """The operands of every union in expr."""
+    stack, found = [expr], []
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Union):
+            found += [e.left, e.right]
+            stack += [e.left, e.right]
+        elif not isinstance(e, Create):
+            stack.append(e.sub)
+    return found
+
+
+def test_bound_witness_emits_each_module_at_its_vertex():
+    # The hammer's quotient is P4, whose bound 3 is the first budget tried,
+    # so the bound's witness builds it with no search.  Its modules are
+    # {0}, {1, 2} (an edge), {3} and {4}; each is one operand of a union,
+    # all on one label, where its quotient vertex is created.
+    g = graph_named("hammer")
+    k, witness = cliquewidth(g)
+    assert k == 3 and width(witness) == 3
+    assert is_isomorphic(eval_cwexpr(witness).graph, g)
+    emitted = {}
+    for operand in _union_operands(witness):
+        built = eval_cwexpr(operand)
+        emitted[frozenset(built.graph.names.values())] = set(built.label_of)
+    for module in ({"0"}, {"1", "2"}, {"3"}, {"4"}):
+        assert len(emitted[frozenset(module)]) == 1, module
+
+
 def _count_work(monkeypatch) -> list[int]:
     """Count ``_Search.run`` calls and ``_Tables`` builds from now on."""
     counts = [0, 0]
@@ -453,15 +525,17 @@ def _count_work(monkeypatch) -> list[int]:
 
 
 # (width, searches, tables) per graph, frozen with the witnesses' digest.
-# Each prime quotient is first searched at the largest width needed so far,
-# never below 3, so a quotient that needs less than an earlier one is
-# searched once, and each quotient's tables are built once.
+# Each prime quotient is searched from the largest width needed so far,
+# never below 3, up to one label below its linear-width bound, so a quotient
+# whose bound is at most that width (P4's 3, C8's and co(C6)'s 4) is not
+# searched, C5 (bound 4) is searched once at 3, and each quotient's tables
+# are built once.
 SEVERAL_PRIME_QUOTIENTS = {
-    "co(C6)+P4": (4, 3, 2),
-    "P4+co(C6)": (4, 3, 2),
-    "C5+co(C6)+P4": (4, 4, 3),
-    "P4+P4+co(C6)+P4": (4, 5, 4),
-    "co(C6)+C8": (4, 3, 2),
+    "co(C6)+P4": (4, 1, 2),
+    "P4+co(C6)": (4, 1, 2),
+    "C5+co(C6)+P4": (4, 2, 3),
+    "P4+P4+co(C6)+P4": (4, 1, 4),
+    "co(C6)+C8": (4, 1, 2),
 }
 
 
@@ -475,13 +549,15 @@ def test_several_prime_quotients(monkeypatch):
         assert (k, *counts) == expected, name
         lines.append(f"{k} {format_cwexpr(expr)}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "d561edf708b437b4f091e96983bb4c13dae709f2738674cb99139b0688a9ebbf"
+    assert digest == "baafeba2626701bcc44d2d34002f33f59bf368a854fef7ec11378ba2d4aad88b"
 
 
-@pytest.mark.parametrize("k,ok,searches,tables", [(2, False, 0, 0), (3, False, 1, 1), (4, True, 2, 2), (5, True, 2, 2)])
+@pytest.mark.parametrize("k,ok,searches,tables", [(2, False, 0, 0), (3, False, 1, 1), (4, True, 0, 2), (5, True, 0, 2)])
 def test_budget_reaches_each_prime_quotient_once(monkeypatch, k, ok, searches, tables):
-    # co(C6) needs 4 labels and C8 needs 4: below 3 no quotient is searched,
-    # and at 3 the first failing quotient ends the decision
+    # co(C6) needs 4 labels and C8 needs 4, and both have linear-width
+    # bound 4: below 3 no quotient is searched, at 3 the first failing
+    # quotient ends the decision, and a budget at or past a quotient's bound
+    # takes the bound's witness with no search
     counts = _count_work(monkeypatch)
     g = graph_named("co(C6)+C8")
     assert cliquewidth_at_most(g, k, max_vertices=g.n)[0] == ok
