@@ -392,7 +392,7 @@ def _linear_bound(t: _Tables) -> tuple[int, list[int]]:
         order.append(last[s])
         s ^= 1 << last[s]
     order.reverse()
-    return least, order
+    return least, order  # the loop ended on the whole set: least is u
 
 
 def _linear_witness(g: Graph, order: list[int], leaves: list[tuple[CwExpr, int]]) -> CwExpr:

@@ -470,7 +470,8 @@ def test_smallest_witness_family_members(family, param):
 def test_prime_graphs_of_width_seven(g6):
     # a 14-vertex graph and two seeded G(n, 1/2) of 15 and 16 vertices, all
     # prime with linear-width bound 7: the searches at 3 to 6 labels fail,
-    # and no search at 7 labels runs (at 7 the first passes STATE_CAP)
+    # and no search at 7 labels runs (on the first graph one would pass
+    # STATE_CAP)
     g = from_graph6(g6)
     k, witness = cliquewidth(g, max_vertices=g.n)
     assert k == 7 and width(witness) == 7
